@@ -42,6 +42,9 @@ What is gated, and why
    baseline) is gated only when the *current* machine reports
    `hw_threads >= 8`; on smaller hosts real parallel speedup is
    physically unobservable, so the number prints as informational.
+   Both this section and `engine_parallel` also print the speedup at
+   min(hw_threads, 8) workers, the host's own thread count, as an
+   informational line.
 
 6. `engine_parallel` (same trigger as 5): the full FlashWalker engine at
    1/2/4/8 DES workers. `determinism_ok` (identical sim_exec_ns / hop /
@@ -189,6 +192,22 @@ def check_models(base, cur, configs_match, failures):
                 failures.append(f"service_mix.models.{name}.makespan_ns")
 
 
+def print_host_speedup(name, sect, rates, base_rate):
+    """Informational: the speedup at min(hw_threads, 8) workers, the host's
+    own thread count (speedup_8w on a smaller host measures threads sharing
+    cores). Uses the largest measured worker count not above it."""
+    hw = sect.get("hw_threads", 0)
+    target = min(hw, 8)
+    counts = [int(k) for k in rates if int(k) <= target]
+    if not counts or not base_rate:
+        print(f"{name}: no point at <= {target} workers (hw_threads {hw}) "
+              "[informational]")
+        return
+    w = max(counts)
+    print(f"{name}.speedup_{w}w: {rates[str(w)] / base_rate:.3g} "
+          f"(min(hw_threads {hw}, 8) workers) [informational]")
+
+
 def check_parallel(base, cur, floor, failures):
     """Gate the parallel-DES section: hard determinism, conditional speedup."""
     par = section_or_fail("parallel", base, cur, failures)
@@ -213,6 +232,8 @@ def check_parallel(base, cur, floor, failures):
         # proves determinism, but speedup cannot manifest. Report, don't gate.
         print(f"parallel.speedup_8w: {speedup:.3g} (hw_threads {hw} < 8) "
               "[informational]")
+    print_host_speedup("parallel", par, par.get("workers", {}),
+                       par.get("serial_events_per_sec", 0))
 
 
 def check_engine_parallel(base, cur, floor, serial_floor, max_drop, failures):
@@ -239,6 +260,8 @@ def check_engine_parallel(base, cur, floor, serial_floor, max_drop, failures):
     else:
         print(f"engine_parallel.speedup_8w: {speedup:.3g} (hw_threads {hw} < 8) "
               "[informational]")
+    rates = par.get("workers_walks_per_sec", {})
+    print_host_speedup("engine_parallel", par, rates, rates.get("1", 0))
 
     serial = cur.get("engine_parallel", {}).get(
         "workers_walks_per_sec", {}).get("1", 0)

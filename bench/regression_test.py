@@ -3,8 +3,9 @@
 
 Runs the checker as a subprocess over synthetic reports, pinning the
 missing-section rule (a gated section present in the baseline but absent
-from the candidate must FAIL, not silently skip) and the array_scaling
-gates (hard determinism, hw_threads-conditional scaling floor).
+from the candidate must FAIL, not silently skip), the array_scaling
+gates (hard determinism, hw_threads-conditional scaling floor), and the
+informational speedup line at the host's own thread count.
 """
 
 import json
@@ -147,6 +148,46 @@ class CheckModelsTest(unittest.TestCase):
         proc = run_checker(base, cur)
         self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
         self.assertIn("service_mix.models.metapath", proc.stderr)
+
+
+def parallel_section(hw_threads):
+    return {"hw_threads": hw_threads, "determinism_ok": True,
+            "serial_events_per_sec": 100.0,
+            "workers": {"1": 90.0, "2": 150.0, "4": 250.0, "8": 80.0},
+            "speedup_8w": 0.8}
+
+
+def engine_parallel_section(hw_threads):
+    return {"hw_threads": hw_threads, "determinism_ok": True,
+            "workers_walks_per_sec": {"1": 100.0, "2": 120.0, "4": 150.0,
+                                      "8": 60.0},
+            "speedup_8w": 0.6}
+
+
+class HostSpeedupTest(unittest.TestCase):
+    def run_both(self, hw_threads, *args):
+        report = minimal_report(parallel=parallel_section(hw_threads),
+                                engine_parallel=engine_parallel_section(hw_threads))
+        proc = run_checker(report, report, *args)
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        return proc.stdout
+
+    def test_speedup_at_host_thread_count_is_informational(self):
+        out = self.run_both(4)
+        self.assertIn("parallel.speedup_4w: 2.5 (min(hw_threads 4, 8) workers) "
+                      "[informational]", out)
+        self.assertIn("engine_parallel.speedup_4w: 1.5 (min(hw_threads 4, 8) "
+                      "workers) [informational]", out)
+
+    def test_large_hosts_cap_at_8_workers(self):
+        # Floors off: at 16 hardware threads the 8-worker floors are gated.
+        out = self.run_both(16, "--parallel-floor", "0", "--engine-floor", "0")
+        self.assertIn("engine_parallel.speedup_8w: 0.6 (min(hw_threads 16, 8) "
+                      "workers) [informational]", out)
+
+    def test_unmeasured_thread_count_uses_the_next_lower_point(self):
+        out = self.run_both(6)
+        self.assertIn("parallel.speedup_4w: 2.5 (min(hw_threads 6, 8) workers)", out)
 
 
 class ArrayScalingTest(unittest.TestCase):

@@ -152,7 +152,7 @@ CliOptions parse(int argc, char** argv) {
            "(heterogeneous graph; label = hash(seed, v)\n"
            "% N; required by the metapath model)");
   opts.opt("--sim-threads", &o.sim_threads, "N",
-           "parallel-DES worker threads: channel\n"
+           "parallel-DES threads, the caller included:\n"
            "shards execute concurrently, bit-identical\n"
            "to N=1 for any N (FlashWalker only;\n"
            "incompatible with --trace-out)");

@@ -103,13 +103,14 @@ struct EngineOptions {
   /// fragmented planes while the device would otherwise sit idle after the
   /// walk workload drains; 0 disables the pass.
   std::uint32_t idle_gc_episodes = 256;
-  /// Worker threads for the parallel DES (the `--sim-threads` CLI knob).
-  /// The engine always executes on the sharded conservative-lookahead
-  /// simulator (board = shard 0, channel c = shard 1 + c); this selects how
-  /// many OS threads drain the shards. 1 runs the identical window/merge
-  /// schedule inline on the caller's thread; N > 1 runs shards concurrently
-  /// between barriers. Results are bit-identical for any value (clamped to
-  /// the shard count) — see docs/MODELING.md "Parallel DES".
+  /// Threads for the parallel DES (the `--sim-threads` CLI knob): N
+  /// threads, the caller included. The engine always executes on the
+  /// sharded conservative-lookahead simulator (board = shard 0, channel c =
+  /// shard 1 + c); this selects how many OS threads drain the shards. The
+  /// calling thread is worker 0, and N > 1 adds N - 1 threads that drain
+  /// shards concurrently between barriers. Results are bit-identical for
+  /// any value (clamped to the shard count) — see docs/MODELING.md
+  /// "Parallel DES".
   std::uint32_t sim_threads = 1;
   /// Record the shard audit (per-shard balance, cross-shard traffic,
   /// lookahead-window margins) on the same run and publish it via the

@@ -1,16 +1,15 @@
-// Shard identity + the serial-mode shard audit.
+// Shard identity + the serial Simulator's shard audit.
 //
-// The parallel DES (sim/parallel_sim.hpp) shards the event queue per
-// channel. The serial Simulator stays the bit-exact reference, but it can
-// carry the same shard tagging: every event is scheduled with a home shard,
-// and an attached ShardAudit measures what a conservative-lookahead
-// parallel execution of the identical event stream would see — per-shard
-// event balance, cross-shard traffic volume, the minimum cross-shard delay,
-// and how many cross-shard sends land inside the configured lookahead
-// window (each such send would force a smaller window, or a model change
-// that charges the real transfer latency on that path). This is how the
-// engine's event stream is validated against the window derivation in
-// docs/MODELING.md ("Parallel DES") without perturbing the serial run.
+// `ShardId` names an event-queue shard of the parallel DES
+// (sim/parallel_sim.hpp). `ShardAudit` belongs to the serial Simulator
+// only: attached via Simulator::attach_audit, it tags every event with a
+// home shard and measures what a conservative-lookahead parallel run of
+// the same event stream would see — per-shard event balance, cross-shard
+// traffic, the minimum cross-shard delay, and sends that land inside the
+// lookahead window. The engine does not use it: it runs on
+// ParallelSimulator and fills accel::ShardAuditReport from its own
+// per-shard sinks (accel/engine.hpp, `--shard-audit`). The serial
+// Simulator remains for the tests and the bench baseline.
 #pragma once
 
 #include <algorithm>

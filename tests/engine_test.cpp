@@ -220,15 +220,20 @@ TEST_P(EngineFeatures, CompletesAndConserves) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Toggles, EngineFeatures,
-    ::testing::Values(FeatureCase{false, false, false, "none"},
-                      FeatureCase{true, false, false, "wq"},
-                      FeatureCase{true, true, false, "wq_hs"},
-                      FeatureCase{true, true, true, "all"},
-                      FeatureCase{false, true, true, "hs_ss"},
-                      FeatureCase{false, false, true, "ss"}),
-    [](const auto& param_info) { return param_info.param.name; });
+// A static array, not ::testing::Values: gtest prints the raw bytes of the
+// parameter, padding included, into the test name, and only a static
+// aggregate's padding is zero rather than indeterminate.
+constexpr FeatureCase kFeatureCases[] = {
+    {false, false, false, "none"},
+    {true, false, false, "wq"},
+    {true, true, false, "wq_hs"},
+    {true, true, true, "all"},
+    {false, true, true, "hs_ss"},
+    {false, false, true, "ss"},
+};
+
+INSTANTIATE_TEST_SUITE_P(Toggles, EngineFeatures, ::testing::ValuesIn(kFeatureCases),
+                         [](const auto& param_info) { return param_info.param.name; });
 
 TEST(EngineFeaturesExtra, WalkQueryReducesSearchSteps) {
   const auto g = graph::make_dataset(graph::DatasetId::FS, graph::Scale::kTest);

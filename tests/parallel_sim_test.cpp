@@ -1,14 +1,17 @@
 // Tests for the conservative-lookahead parallel DES (sim/parallel_sim):
-// cross-worker-count determinism, merge-order rules, window semantics, and
-// misuse hard-checks — plus the engine's shard-audit mode staying
-// bit-identical to the serial reference. The determinism cases are the ones
-// the CI TSan job runs to prove the barrier protocol race-free.
+// cross-worker-count determinism, merge-order rules, window semantics,
+// placement, thread use, handler exceptions, and misuse hard-checks — plus
+// the engine's shard-audit mode staying bit-identical to the serial
+// reference. The determinism cases are the ones the CI TSan job runs to
+// prove the barrier protocol race-free.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "accel/builder.hpp"
@@ -153,20 +156,150 @@ TEST(ParallelSim, EventsCanScheduleAndChainAcrossWindows) {
 }
 
 TEST(ParallelSim, RunUntilBoundsExecutionAndResumes) {
-  ParallelSimulator ps(2, kLookahead, 1);
-  int fired = 0;
-  ps.shard(0).schedule(10, [&fired] { ++fired; });
-  ps.shard(1).schedule(500, [&fired] { ++fired; });
-  EXPECT_EQ(ps.run(100), 1u);
-  EXPECT_EQ(fired, 1);
-  EXPECT_FALSE(ps.idle());
-  // Like Simulator::run, the clock rests on the last executed event while
-  // work remains pending beyond the bound.
-  EXPECT_EQ(ps.now(), 10u);
-  EXPECT_EQ(ps.run(), 1u);
-  EXPECT_EQ(fired, 2);
-  EXPECT_TRUE(ps.idle());
-  EXPECT_EQ(ps.now(), 500u);
+  // The crossing sent at tick 10 lands at 160, beyond `until`: run(100)
+  // leaves it queued at its destination, and the next run delivers it at
+  // its own tick — at every worker count. The three events run in three
+  // different windows, so the shared log needs no synchronization.
+  for (std::uint32_t workers : {1u, 2u, 4u}) {
+    ParallelSimulator ps(4, kLookahead, workers);
+    std::vector<std::pair<ShardId, Tick>> log;
+    ps.shard(0).schedule(10, [&ps, &log] {
+      log.emplace_back(0, ps.shard(0).now());
+      ps.shard(0).send(1, kLookahead + 50,
+                       [&ps, &log] { log.emplace_back(1, ps.shard(1).now()); });
+    });
+    ps.shard(1).schedule(500, [&ps, &log] { log.emplace_back(1, ps.shard(1).now()); });
+    EXPECT_EQ(ps.run(100), 1u) << workers << " workers";
+    EXPECT_EQ(log.size(), 1u);
+    EXPECT_FALSE(ps.idle());
+    EXPECT_EQ(ps.shard(1).pending(), 2u);  // the crossing waits at shard 1
+    // Like Simulator::run, the clock rests on the last executed event while
+    // work remains pending beyond the bound.
+    EXPECT_EQ(ps.now(), 10u);
+    EXPECT_EQ(ps.run(), 2u);
+    EXPECT_TRUE(ps.idle());
+    EXPECT_EQ(ps.now(), 500u);
+    const std::vector<std::pair<ShardId, Tick>> expect = {
+        {0, 10}, {1, 10 + kLookahead + 50}, {1, 500}};
+    EXPECT_EQ(log, expect) << workers << " workers";
+  }
+}
+
+/// Chains that stay on one shard for a long stretch of hops, then move to
+/// another: the busy shards change as the run goes on.
+struct MigratingChains {
+  ParallelSimulator& ps;
+  ChainState& st;
+
+  void fire(ShardId s, std::uint32_t hops) {
+    st.checksum[s] = st.checksum[s] * 31 + (ps.shard(s).now() ^ hops);
+    if (hops == 0) return;
+    if (hops % 3000 == 0) {
+      const ShardId dst = (s + 3) % ps.num_shards();
+      ps.shard(s).send(dst, kLookahead + st.rng[s].bounded(64),
+                       [this, dst, hops] { fire(dst, hops - 1); });
+    } else {
+      ps.shard(s).schedule(1 + st.rng[s].bounded(40),
+                           [this, s, hops] { fire(s, hops - 1); });
+    }
+  }
+};
+
+TEST(ParallelSim, PlacementFollowsLoadWithoutChangingResults) {
+  // Load starts on shards 0 and 1 and walks around the ring. The run spans
+  // several rebalance periods, so placement moves shards between workers,
+  // yet every worker count yields the same checksums, clocks and counts.
+  constexpr std::uint32_t kShards = 9;
+  constexpr std::uint32_t kHops = 12000;
+  auto run = [](std::uint32_t workers) {
+    ParallelSimulator ps(kShards, kLookahead, workers);
+    ChainState st(kShards);
+    MigratingChains drv{ps, st};
+    for (ShardId s : {0u, 1u}) {
+      for (std::uint32_t k = 0; k < 3; ++k) {
+        ps.shard(s).schedule(k, [&drv, s] { drv.fire(s, kHops); });
+      }
+    }
+    RunResult r;
+    r.executed = ps.run();
+    r.checksums = st.checksum;
+    for (ShardId s = 0; s < kShards; ++s) r.clocks.push_back(ps.shard(s).now());
+    r.now = ps.now();
+    return std::make_pair(r, ps.placement_changes());
+  };
+  const auto [one, one_changes] = run(1);
+  EXPECT_EQ(one.executed, 6u * (kHops + 1));
+  EXPECT_EQ(one_changes, 0u);  // a single worker owns every shard
+  EXPECT_GT(one.now / kLookahead, 2 * ParallelSimulator::kRebalanceWindows);
+  for (std::uint32_t workers = 2; workers <= 8; ++workers) {
+    const auto [r, changes] = run(workers);
+    EXPECT_GE(changes, 1u) << workers << " workers";
+    EXPECT_EQ(r.checksums, one.checksums) << workers << " workers";
+    EXPECT_EQ(r.clocks, one.clocks) << workers << " workers";
+    EXPECT_EQ(r.executed, one.executed) << workers << " workers";
+    EXPECT_EQ(r.now, one.now) << workers << " workers";
+  }
+}
+
+TEST(ParallelSim, RunUsesAtMostWorkersThreadsIncludingTheCaller) {
+  constexpr std::uint32_t kShards = 9;
+  for (std::uint32_t workers : {1u, 2u, 4u, 8u}) {
+    ParallelSimulator ps(kShards, kLookahead, workers);
+    // Per-shard logs: each is written only by the thread draining its shard.
+    std::vector<std::vector<std::thread::id>> seen(kShards);
+    auto record = [&seen](ShardId s) { seen[s].push_back(std::this_thread::get_id()); };
+    for (ShardId s = 0; s < kShards; ++s) {
+      for (Tick t = 0; t < 20; ++t) {
+        ps.shard(s).schedule(t * kLookahead / 2, [&record, s] { record(s); });
+      }
+    }
+    ps.run();
+    std::vector<std::thread::id> threads;
+    for (const auto& ids : seen) threads.insert(threads.end(), ids.begin(), ids.end());
+    std::sort(threads.begin(), threads.end());
+    threads.erase(std::unique(threads.begin(), threads.end()), threads.end());
+    EXPECT_LE(threads.size(), workers);
+    const std::thread::id caller = std::this_thread::get_id();
+    EXPECT_EQ(std::count(threads.begin(), threads.end(), caller), 1)
+        << "the caller drains shards as worker 0 (" << workers << " workers)";
+  }
+}
+
+TEST(ParallelSim, HandlerExceptionReachesTheCallerAtAnyWorkerCount) {
+  // Shards 3 and 1 throw in the same window. Every worker count rethrows
+  // shard 1's exception on the caller, as a single worker does, and no
+  // later window runs.
+  for (std::uint32_t workers : {1u, 2u, 4u}) {
+    ParallelSimulator ps(4, kLookahead, workers);
+    std::atomic<int> later{0};
+    ps.shard(3).schedule(20, [] { throw std::runtime_error("shard 3"); });
+    ps.shard(1).schedule(30, [] { throw std::runtime_error("shard 1"); });
+    ps.shard(2).schedule(5 * kLookahead, [&later] { ++later; });
+    try {
+      ps.run();
+      ADD_FAILURE() << "no exception at " << workers << " workers";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "shard 1") << workers << " workers";
+    }
+    EXPECT_EQ(later.load(), 0) << workers << " workers";
+  }
+}
+
+TEST(ParallelSim, SendsMadeBetweenRunsArriveInTheNextRun) {
+  for (std::uint32_t workers : {1u, 2u}) {
+    ParallelSimulator ps(2, kLookahead, workers);
+    std::vector<Tick> seen;  // only shard 1 writes
+    for (int round = 0; round < 2; ++round) {
+      const Tick sent = ps.shard(0).now();
+      ps.shard(0).send(1, kLookahead,
+                       [&ps, &seen] { seen.push_back(ps.shard(1).now()); });
+      EXPECT_FALSE(ps.idle());
+      EXPECT_EQ(ps.run(), 1u) << workers << " workers, round " << round;
+      EXPECT_TRUE(ps.idle());
+      ASSERT_EQ(seen.size(), static_cast<std::size_t>(round + 1));
+      EXPECT_EQ(seen.back(), sent + kLookahead);
+    }
+  }
 }
 
 TEST(ParallelSim, SelfSendIsLocalAndUnconstrained) {

@@ -132,19 +132,24 @@ std::string sweep_name(const ::testing::TestParamInfo<SweepCase>& param_info) {
          std::to_string(param_info.param.per_range);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, PartitionSweep,
-    ::testing::Values(SweepCase{GraphKind::kRmat, 1024, 4},
-                      SweepCase{GraphKind::kRmat, 4096, 16},
-                      SweepCase{GraphKind::kRmat, 65536, 8},
-                      SweepCase{GraphKind::kZipf, 1024, 4},
-                      SweepCase{GraphKind::kZipf, 4096, 64},
-                      SweepCase{GraphKind::kZipf, 16384, 16},
-                      SweepCase{GraphKind::kErdosRenyi, 2048, 8},
-                      SweepCase{GraphKind::kErdosRenyi, 8192, 32},
-                      SweepCase{GraphKind::kChain, 512, 4},
-                      SweepCase{GraphKind::kChain, 4096, 16}),
-    sweep_name);
+// A static array, not ::testing::Values: gtest prints the raw bytes of the
+// parameter, padding included, into the test name, and only a static
+// aggregate's padding is zero rather than indeterminate.
+constexpr SweepCase kSweepCases[] = {
+    {GraphKind::kRmat, 1024, 4},
+    {GraphKind::kRmat, 4096, 16},
+    {GraphKind::kRmat, 65536, 8},
+    {GraphKind::kZipf, 1024, 4},
+    {GraphKind::kZipf, 4096, 64},
+    {GraphKind::kZipf, 16384, 16},
+    {GraphKind::kErdosRenyi, 2048, 8},
+    {GraphKind::kErdosRenyi, 8192, 32},
+    {GraphKind::kChain, 512, 4},
+    {GraphKind::kChain, 4096, 16},
+};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, PartitionSweep, ::testing::ValuesIn(kSweepCases),
+                         sweep_name);
 
 // --- layout across topologies -------------------------------------------------
 
