@@ -45,13 +45,7 @@ class Xoshiro256 {
 
   std::uint64_t next() {
     const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
+    step();
     return result;
   }
 
@@ -79,9 +73,29 @@ class Xoshiro256 {
   /// Bernoulli trial with probability p.
   bool chance(double p) { return uniform() < p; }
 
+  /// Exact jump-ahead: leaves the stream where `k` calls to next() would,
+  /// in O(log k) polynomial steps instead of k. A generator that draws a
+  /// fixed number of values per item can split its items among threads,
+  /// each starting from a copy advanced to its first item's draws.
+  void advance(std::uint64_t k);
+
+  friend bool operator==(const Xoshiro256&, const Xoshiro256&) = default;
+
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
+  }
+
+  /// The state transition, which is linear over GF(2); next() is this plus
+  /// the scrambled output of the old state.
+  void step() {
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
   }
 
   std::array<std::uint64_t, 4> state_{};

@@ -1,25 +1,28 @@
 #include "graph/builder.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
-namespace fw::graph {
+#include "common/fork_join.hpp"
 
-void GraphBuilder::add_edge(VertexId src, VertexId dst, float weight) {
-  if (src >= num_vertices_ || dst >= num_vertices_) {
+namespace fw::graph {
+namespace {
+
+/// Below this many edges per thread, sorting neighbor lists stays serial.
+constexpr std::uint64_t kMinEdgesPerThread = 1 << 14;
+
+void check_endpoints(VertexId num_vertices, VertexId src, VertexId dst) {
+  if (src >= num_vertices || dst >= num_vertices) {
     throw std::out_of_range("GraphBuilder: edge endpoint outside vertex space");
   }
-  edges_.push_back(Edge{src, dst, weight});
 }
 
-void GraphBuilder::add_edges(const std::vector<Edge>& edges) {
-  edges_.reserve(edges_.size() + edges.size());
-  for (const Edge& e : edges) add_edge(e.src, e.dst, e.weight);
-}
-
-CsrGraph GraphBuilder::build(const BuildOptions& opts) && {
-  std::vector<Edge> edges = std::move(edges_);
-
+/// Comparator sort over whole records: std::sort is not stable, so this
+/// exact call on this exact sequence is what fixes the order of parallel
+/// edges' weights (and which weight deduplication keeps).
+CsrGraph build_weighted(VertexId num_vertices, std::vector<Edge> edges,
+                        const BuildOptions& opts) {
   if (opts.drop_self_loops) {
     std::erase_if(edges, [](const Edge& e) { return e.src == e.dst; });
   }
@@ -42,18 +45,98 @@ CsrGraph GraphBuilder::build(const BuildOptions& opts) && {
                 edges.end());
   }
 
-  std::vector<EdgeId> offsets(num_vertices_ + 1, 0);
+  std::vector<EdgeId> offsets(num_vertices + 1, 0);
   for (const Edge& e : edges) ++offsets[e.src + 1];
   for (std::size_t v = 1; v < offsets.size(); ++v) offsets[v] += offsets[v - 1];
 
   std::vector<VertexId> targets(edges.size());
-  std::vector<float> weights;
-  if (opts.keep_weights) weights.resize(edges.size());
+  std::vector<float> weights(edges.size());
   for (std::size_t i = 0; i < edges.size(); ++i) {
     targets[i] = edges[i].dst;
-    if (opts.keep_weights) weights[i] = edges[i].weight;
+    weights[i] = edges[i].weight;
   }
   return CsrGraph(std::move(offsets), std::move(targets), std::move(weights));
+}
+
+/// Counting sort on source, then each neighbor list sorted on its own.
+/// Once weights are dropped, records with equal (src, dst) cannot be told
+/// apart, so this yields the bytes a comparator sort over (src, dst) does.
+CsrGraph build_unweighted(VertexId num_vertices, std::vector<Edge> edges,
+                          const BuildOptions& opts) {
+  const auto dropped = [&opts](const Edge& e) {
+    return opts.drop_self_loops && e.src == e.dst;
+  };
+
+  std::vector<EdgeId> offsets(num_vertices + 1, 0);
+  for (const Edge& e : edges) {
+    if (dropped(e)) continue;
+    ++offsets[e.src + 1];
+    if (opts.symmetrize) ++offsets[e.dst + 1];
+  }
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+
+  // offsets[v] doubles as v's fill cursor; once every edge is placed it
+  // holds v's end, and shifting the array up one slot restores the starts.
+  std::vector<VertexId> targets(offsets.back());
+  for (const Edge& e : edges) {
+    if (dropped(e)) continue;
+    targets[offsets[e.src]++] = e.dst;
+    if (opts.symmetrize) targets[offsets[e.dst]++] = e.src;
+  }
+  std::vector<Edge>().swap(edges);
+  std::copy_backward(offsets.begin(), offsets.end() - 1, offsets.end());
+  offsets[0] = 0;
+
+  // Vertex ranges of about equal edge counts, one per thread.
+  const EdgeId m = targets.size();
+  const unsigned threads = host_threads(m, kMinEdgesPerThread);
+  const auto first_vertex = [&](unsigned t) -> VertexId {
+    if (t == threads) return num_vertices;
+    const EdgeId at = range_begin(m, threads, t);
+    return static_cast<VertexId>(
+        std::lower_bound(offsets.begin(), offsets.end() - 1, at) - offsets.begin());
+  };
+  fork_join(threads, [&](unsigned t) {
+    const VertexId end = first_vertex(t + 1);
+    for (VertexId v = first_vertex(t); v < end; ++v) {
+      std::sort(targets.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
+                targets.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
+    }
+  });
+
+  if (opts.deduplicate) {
+    EdgeId out = 0;
+    EdgeId begin = 0;
+    for (VertexId v = 0; v < num_vertices; ++v) {
+      const EdgeId end = offsets[v + 1];
+      const EdgeId first = out;
+      for (EdgeId i = begin; i < end; ++i) {
+        if (out == first || targets[out - 1] != targets[i]) targets[out++] = targets[i];
+      }
+      offsets[v + 1] = out;
+      begin = end;
+    }
+    targets.resize(out);
+    targets.shrink_to_fit();
+  }
+  return CsrGraph(std::move(offsets), std::move(targets));
+}
+
+}  // namespace
+
+GraphBuilder::GraphBuilder(VertexId num_vertices, std::vector<Edge> edges)
+    : num_vertices_(num_vertices), edges_(std::move(edges)) {
+  for (const Edge& e : edges_) check_endpoints(num_vertices_, e.src, e.dst);
+}
+
+void GraphBuilder::add_edge(VertexId src, VertexId dst, float weight) {
+  check_endpoints(num_vertices_, src, dst);
+  edges_.push_back(Edge{src, dst, weight});
+}
+
+CsrGraph GraphBuilder::build(const BuildOptions& opts) && {
+  return opts.keep_weights ? build_weighted(num_vertices_, std::move(edges_), opts)
+                           : build_unweighted(num_vertices_, std::move(edges_), opts);
 }
 
 }  // namespace fw::graph

@@ -30,13 +30,19 @@ class GraphBuilder {
   /// it throw.
   explicit GraphBuilder(VertexId num_vertices) : num_vertices_(num_vertices) {}
 
+  /// Takes a finished edge list whole, e.g. one a generator sized exactly;
+  /// endpoints are checked as add_edge checks them.
+  GraphBuilder(VertexId num_vertices, std::vector<Edge> edges);
+
   void add_edge(VertexId src, VertexId dst, float weight = 1.0f);
-  void add_edges(const std::vector<Edge>& edges);
 
   [[nodiscard]] std::size_t edge_count() const { return edges_.size(); }
 
   /// Consumes the accumulated edges and produces a CSR graph with neighbor
-  /// lists sorted by destination ID.
+  /// lists sorted by destination ID. Unweighted graphs are bucketed by
+  /// source in linear time and their lists sorted in parallel; weighted
+  /// graphs keep one comparator sort over all edges, which fixes the order
+  /// of parallel edges' weights.
   CsrGraph build(const BuildOptions& opts = {}) &&;
 
  private:

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <stdexcept>
 
-#include "graph/builder.hpp"
+#include "common/fork_join.hpp"
 
 namespace fw::graph {
 namespace {
@@ -13,6 +14,9 @@ VertexId round_up_pow2(VertexId v) {
   return v <= 1 ? 1 : std::bit_ceil(v);
 }
 
+/// Below this many edges per thread, R-MAT generation stays serial.
+constexpr EdgeId kMinEdgesPerThread = 1 << 14;
+
 float random_weight(Xoshiro256& rng) {
   // Weights in (0, 1]; strictly positive so ITS cumulative sums are monotone.
   return static_cast<float>(1.0 - rng.uniform() * (1.0 - 1e-6));
@@ -20,56 +24,69 @@ float random_weight(Xoshiro256& rng) {
 
 }  // namespace
 
-CsrGraph generate_rmat(const RmatParams& params) {
+std::vector<Edge> rmat_edges(const RmatParams& params, unsigned threads) {
   const VertexId n = round_up_pow2(params.num_vertices);
   const int levels = std::countr_zero(n);
-  Xoshiro256 rng(params.seed);
-  GraphBuilder builder(n);
+  const EdgeId m = params.num_edges;
+  // Every edge takes the same draws: five per level, plus its weight.
+  const std::uint64_t draws_per_edge =
+      5 * static_cast<std::uint64_t>(levels) + (params.weighted ? 1 : 0);
+  if (threads == 0) threads = host_threads(m, kMinEdgesPerThread);
+  threads = static_cast<unsigned>(std::clamp<EdgeId>(threads, 1, std::max<EdgeId>(m, 1)));
 
+  const Xoshiro256 seed_stream(params.seed);
   const double d = 1.0 - params.a - params.b - params.c;
-  for (EdgeId e = 0; e < params.num_edges; ++e) {
-    VertexId src = 0, dst = 0;
-    for (int level = 0; level < levels; ++level) {
-      // Perturb quadrant probabilities per level (PaRMAT's noise option)
-      // to avoid the exact self-similarity artifacts of vanilla R-MAT.
-      const double na = params.a * (1.0 + params.noise * (rng.uniform() - 0.5));
-      const double nb = params.b * (1.0 + params.noise * (rng.uniform() - 0.5));
-      const double nc = params.c * (1.0 + params.noise * (rng.uniform() - 0.5));
-      const double nd = d * (1.0 + params.noise * (rng.uniform() - 0.5));
-      const double total = na + nb + nc + nd;
-      const double r = rng.uniform() * total;
-      src <<= 1;
-      dst <<= 1;
-      if (r < na) {
-        // top-left: no bits set
-      } else if (r < na + nb) {
-        dst |= 1;
-      } else if (r < na + nb + nc) {
-        src |= 1;
-      } else {
-        src |= 1;
-        dst |= 1;
+  std::vector<Edge> edges(m);
+  fork_join(threads, [&](unsigned t) {
+    const EdgeId begin = range_begin(m, threads, t);
+    const EdgeId end = range_begin(m, threads, t + 1);
+    Xoshiro256 rng = seed_stream;
+    rng.advance(begin * draws_per_edge);
+    for (EdgeId e = begin; e < end; ++e) {
+      VertexId src = 0, dst = 0;
+      for (int level = 0; level < levels; ++level) {
+        // Perturb quadrant probabilities per level (PaRMAT's noise option)
+        // to avoid the exact self-similarity artifacts of vanilla R-MAT.
+        const double na = params.a * (1.0 + params.noise * (rng.uniform() - 0.5));
+        const double nb = params.b * (1.0 + params.noise * (rng.uniform() - 0.5));
+        const double nc = params.c * (1.0 + params.noise * (rng.uniform() - 0.5));
+        const double nd = d * (1.0 + params.noise * (rng.uniform() - 0.5));
+        const double total = na + nb + nc + nd;
+        const double r = rng.uniform() * total;
+        // The chain "r < na: top-left, else r < na + nb: top-right, else
+        // r < na + nb + nc: bottom-left, else bottom-right", without
+        // branches: quadrant q sets src's bit to q / 2 and dst's to q % 2.
+        const unsigned past_a = static_cast<unsigned>(!(r < na));
+        const unsigned past_b = past_a & static_cast<unsigned>(!(r < na + nb));
+        const unsigned past_c = past_b & static_cast<unsigned>(!(r < na + nb + nc));
+        const unsigned quadrant = past_a + past_b + past_c;
+        src = (src << 1) | (quadrant >> 1);
+        dst = (dst << 1) | (quadrant & 1);
       }
+      edges[e] = Edge{src, dst, params.weighted ? random_weight(rng) : 1.0f};
     }
-    builder.add_edge(src, dst, params.weighted ? random_weight(rng) : 1.0f);
-  }
+  });
+  return edges;
+}
 
+CsrGraph generate_rmat(const RmatParams& params) {
   BuildOptions opts;
   opts.keep_weights = params.weighted;
-  return std::move(builder).build(opts);
+  return GraphBuilder(round_up_pow2(params.num_vertices), rmat_edges(params)).build(opts);
 }
 
 CsrGraph generate_erdos_renyi(const ErdosRenyiParams& params) {
   Xoshiro256 rng(params.seed);
-  GraphBuilder builder(params.num_vertices);
+  std::vector<Edge> edges;
+  edges.reserve(params.num_edges);
   for (EdgeId e = 0; e < params.num_edges; ++e) {
     const VertexId src = rng.bounded(params.num_vertices);
     const VertexId dst = rng.bounded(params.num_vertices);
-    builder.add_edge(src, dst, params.weighted ? random_weight(rng) : 1.0f);
+    edges.push_back(Edge{src, dst, params.weighted ? random_weight(rng) : 1.0f});
   }
   BuildOptions opts;
   opts.keep_weights = params.weighted;
-  return std::move(builder).build(opts);
+  return GraphBuilder(params.num_vertices, std::move(edges)).build(opts);
 }
 
 ZipfSampler::ZipfSampler(VertexId n, double exponent) {
@@ -90,8 +107,11 @@ VertexId ZipfSampler::sample(Xoshiro256& rng) const {
 }
 
 CsrGraph generate_zipf(const ZipfParams& params) {
-  Xoshiro256 rng(params.seed);
   const VertexId n = params.num_vertices;
+  if (n == 0 && params.num_edges > 0) {
+    throw std::invalid_argument("generate_zipf: edges requested on zero vertices");
+  }
+  Xoshiro256 rng(params.seed);
 
   // Out-degrees: Zipf over a random permutation of vertices so hubs are not
   // clustered at low IDs (the partitioner must find them, not assume them).
@@ -121,20 +141,23 @@ CsrGraph generate_zipf(const ZipfParams& params) {
     ++assigned;
   }
 
+  // Variable draws per edge (rejection in bounded(), the hub coin): the
+  // stream cannot be split, so this loop stays serial.
   ZipfSampler dst_sampler(n, params.exponent * 0.75);  // milder in-degree skew
-  GraphBuilder builder(n);
+  std::vector<Edge> edges;
+  edges.reserve(params.num_edges);
   for (VertexId v = 0; v < n; ++v) {
     for (EdgeId e = 0; e < out_degree[v]; ++e) {
       VertexId dst = perm[dst_sampler.sample(rng)];
       if (params.hub_fraction > 0.0 && rng.chance(params.hub_fraction)) {
         dst = perm[rng.bounded(std::max<VertexId>(1, n / 1000))];
       }
-      builder.add_edge(v, dst, params.weighted ? random_weight(rng) : 1.0f);
+      edges.push_back(Edge{v, dst, params.weighted ? random_weight(rng) : 1.0f});
     }
   }
   BuildOptions opts;
   opts.keep_weights = params.weighted;
-  return std::move(builder).build(opts);
+  return GraphBuilder(n, std::move(edges)).build(opts);
 }
 
 }  // namespace fw::graph

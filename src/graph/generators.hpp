@@ -8,9 +8,11 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "graph/builder.hpp"
 #include "graph/csr.hpp"
 
 namespace fw::graph {
@@ -24,8 +26,16 @@ struct RmatParams {
   std::uint64_t seed = 1;
 };
 
-/// Recursive-matrix (R-MAT) generator à la PaRMAT/Graph500.
+/// Recursive-matrix (R-MAT) generator à la PaRMAT/Graph500. Runs on
+/// hardware threads; the graph does not depend on how many (rmat_edges).
 CsrGraph generate_rmat(const RmatParams& params);
+
+/// The edges generate_rmat builds its graph from, in generation order.
+/// Every edge takes the same number of draws, so `threads` workers (0: one
+/// per 16Ki edges, at most hardware_concurrency()) each fill a contiguous
+/// range from a copy of the seed's stream advanced to that range's first
+/// draw. The list equals a one-thread pass over the stream for any count.
+std::vector<Edge> rmat_edges(const RmatParams& params, unsigned threads = 0);
 
 struct ErdosRenyiParams {
   VertexId num_vertices = 1 << 14;
@@ -48,7 +58,8 @@ struct ZipfParams {
 
 /// Power-law out-degree graph with Zipf-distributed destination popularity;
 /// produces the skew (a few very dense vertices) that exercises dense-vertex
-/// splitting and pre-walking.
+/// splitting and pre-walking. Throws std::invalid_argument when edges are
+/// requested on zero vertices.
 CsrGraph generate_zipf(const ZipfParams& params);
 
 /// Zipf destination sampler (shared with tests): returns a vertex with

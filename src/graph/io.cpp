@@ -107,11 +107,10 @@ CsrGraph load_edge_list(std::istream& is) {
     max_vertex = std::max({max_vertex, e.src, e.dst});
     edges.push_back(e);
   }
-  GraphBuilder builder(edges.empty() ? 0 : max_vertex + 1);
-  builder.add_edges(edges);
   BuildOptions opts;
   opts.keep_weights = weighted;
-  return std::move(builder).build(opts);
+  const VertexId num_vertices = edges.empty() ? 0 : max_vertex + 1;
+  return GraphBuilder(num_vertices, std::move(edges)).build(opts);
 }
 
 }  // namespace fw::graph

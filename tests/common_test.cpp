@@ -1,5 +1,5 @@
-// Unit tests for src/common: RNG, Bloom filter, cache model, top-N list,
-// statistics, table printer.
+// Unit tests for src/common: RNG and jump-ahead, fork/join, Bloom filter,
+// cache model, top-N list, statistics, table printer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,10 +8,14 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/assoc_cache.hpp"
 #include "common/bloom.hpp"
+#include "common/fork_join.hpp"
 #include "common/options.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -64,6 +68,73 @@ TEST(Rng, UniformInUnitInterval) {
     sum += u;
   }
   EXPECT_NEAR(sum / 10'000, 0.5, 0.02);
+}
+
+TEST(Rng, AdvanceEqualsRepeatedNext) {
+  for (const std::uint64_t seed : {0ull, 2024ull}) {
+    for (const std::uint64_t k :
+         {0ull, 1ull, 2ull, 63ull, 64ull, 65ull, 1000ull, (1ull << 20) + 7}) {
+      Xoshiro256 stepped(seed), jumped(seed);
+      stepped.next();  // start mid-stream, not from a fresh seed
+      jumped.next();
+      for (std::uint64_t i = 0; i < k; ++i) stepped.next();
+      jumped.advance(k);
+      EXPECT_EQ(jumped, stepped) << "seed " << seed << ", k " << k;
+      EXPECT_EQ(jumped.next(), stepped.next()) << "seed " << seed << ", k " << k;
+    }
+  }
+}
+
+TEST(Rng, AdvanceComposes) {
+  const std::uint64_t big = (1ull << 62) + 12345;
+  const std::pair<std::uint64_t, std::uint64_t> cases[] = {
+      {0, 0}, {0, 7}, {1, 1}, {64, 191}, {1000, (1ull << 20) + 7}, {big, big - 1}};
+  for (const auto& [a, b] : cases) {
+    Xoshiro256 twice(99), once(99);
+    twice.advance(a);
+    twice.advance(b);
+    once.advance(a + b);
+    EXPECT_EQ(twice, once) << a << " + " << b;
+  }
+}
+
+// --- Fork/join -------------------------------------------------------------
+
+TEST(ForkJoin, RangesTileTheInputEvenly) {
+  for (const std::uint64_t n : {0ull, 1ull, 7ull, 100ull, (1ull << 20) + 3}) {
+    for (const unsigned parts : {1u, 2u, 3u, 4u, 7u, 8u}) {
+      EXPECT_EQ(range_begin(n, parts, 0), 0u);
+      EXPECT_EQ(range_begin(n, parts, parts), n);
+      for (unsigned t = 0; t < parts; ++t) {
+        const std::uint64_t size =
+            range_begin(n, parts, t + 1) - range_begin(n, parts, t);
+        EXPECT_TRUE(size == n / parts || size == n / parts + 1) << n << " / " << parts;
+      }
+    }
+  }
+}
+
+TEST(ForkJoin, RunsEveryIndexOnceAndForwardsTheLowestException) {
+  std::vector<int> hits(5, 0);
+  fork_join(5, [&hits](unsigned t) { ++hits[t]; });
+  EXPECT_EQ(hits, std::vector<int>(5, 1));
+
+  try {
+    fork_join(4, [](unsigned t) {
+      if (t >= 2) throw std::runtime_error(std::to_string(t));
+    });
+    FAIL() << "no exception reached the caller";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "2");
+  }
+}
+
+TEST(ForkJoin, SmallInputsStayOnOneThread) {
+  EXPECT_EQ(host_threads(0, 16), 1u);
+  EXPECT_EQ(host_threads(31, 16), 1u);
+  EXPECT_GE(host_threads(1ull << 40, 16), 1u);
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_LE(host_threads(1ull << 40, 16), hw);
 }
 
 TEST(SplitMix, KnownSequenceIsStable) {

@@ -3,7 +3,14 @@
 // scaled Table IV dataset registry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/csr.hpp"
@@ -164,6 +171,165 @@ TEST(Rmat, WeightedEmitsPositiveWeights) {
   EXPECT_TRUE(g.validate().empty());  // validate() checks weight positivity
 }
 
+// --- R-MAT and the builder against a serial reference ------------------------
+
+// The R-MAT generator as a plain serial loop: one stream, edges in order,
+// the quadrant picked by an if/else chain. The oracle for rmat_edges.
+std::vector<Edge> serial_rmat_edges(const RmatParams& params) {
+  const VertexId n = params.num_vertices <= 1 ? 1 : std::bit_ceil(params.num_vertices);
+  const int levels = std::countr_zero(n);
+  Xoshiro256 rng(params.seed);
+  std::vector<Edge> edges;
+  const double d = 1.0 - params.a - params.b - params.c;
+  for (EdgeId e = 0; e < params.num_edges; ++e) {
+    VertexId src = 0, dst = 0;
+    for (int level = 0; level < levels; ++level) {
+      const double na = params.a * (1.0 + params.noise * (rng.uniform() - 0.5));
+      const double nb = params.b * (1.0 + params.noise * (rng.uniform() - 0.5));
+      const double nc = params.c * (1.0 + params.noise * (rng.uniform() - 0.5));
+      const double nd = d * (1.0 + params.noise * (rng.uniform() - 0.5));
+      const double total = na + nb + nc + nd;
+      const double r = rng.uniform() * total;
+      src <<= 1;
+      dst <<= 1;
+      if (r < na) {
+        // top-left: no bits set
+      } else if (r < na + nb) {
+        dst |= 1;
+      } else if (r < na + nb + nc) {
+        src |= 1;
+      } else {
+        src |= 1;
+        dst |= 1;
+      }
+    }
+    const float weight =
+        params.weighted ? static_cast<float>(1.0 - rng.uniform() * (1.0 - 1e-6)) : 1.0f;
+    edges.push_back(Edge{src, dst, weight});
+  }
+  return edges;
+}
+
+// The CSR build as one comparator sort over all edges, whatever the
+// options: the oracle for GraphBuilder::build.
+CsrGraph comparator_sort_build(VertexId num_vertices, std::vector<Edge> edges,
+                               const BuildOptions& opts) {
+  if (opts.drop_self_loops) {
+    std::erase_if(edges, [](const Edge& e) { return e.src == e.dst; });
+  }
+  if (opts.symmetrize) {
+    const std::size_t n = edges.size();
+    edges.reserve(2 * n);
+    for (std::size_t i = 0; i < n; ++i) {
+      edges.push_back(Edge{edges[i].dst, edges[i].src, edges[i].weight});
+    }
+  }
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+  });
+  if (opts.deduplicate) {
+    edges.erase(std::unique(edges.begin(), edges.end(),
+                            [](const Edge& a, const Edge& b) {
+                              return a.src == b.src && a.dst == b.dst;
+                            }),
+                edges.end());
+  }
+  std::vector<EdgeId> offsets(num_vertices + 1, 0);
+  for (const Edge& e : edges) ++offsets[e.src + 1];
+  for (std::size_t v = 1; v < offsets.size(); ++v) offsets[v] += offsets[v - 1];
+  std::vector<VertexId> targets(edges.size());
+  std::vector<float> weights;
+  if (opts.keep_weights) weights.resize(edges.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    targets[i] = edges[i].dst;
+    if (opts.keep_weights) weights[i] = edges[i].weight;
+  }
+  return CsrGraph(std::move(offsets), std::move(targets), std::move(weights));
+}
+
+void expect_same_csr(const CsrGraph& got, const CsrGraph& want, const std::string& what) {
+  EXPECT_EQ(got.offsets(), want.offsets()) << what;
+  EXPECT_EQ(got.edges(), want.edges()) << what;
+  ASSERT_EQ(got.weights().size(), want.weights().size()) << what;
+  for (std::size_t i = 0; i < got.weights().size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got.weights()[i]),
+              std::bit_cast<std::uint32_t>(want.weights()[i]))
+        << what << ": weight " << i;
+  }
+}
+
+// Edge counts that move the per-thread range boundaries and cross the
+// one-thread cut-off (16Ki edges per thread).
+class RmatOracle : public ::testing::TestWithParam<EdgeId> {};
+
+TEST_P(RmatOracle, ParallelGenerationAndBuildMatchSerialReference) {
+  const EdgeId m = GetParam();
+  const bool large = m > (1u << 16);
+  // 0 is the default thread count; the list must not depend on it.
+  const std::vector<unsigned> thread_counts =
+      large ? std::vector<unsigned>{0, 3} : std::vector<unsigned>{0, 1, 2, 3, 4, 7};
+  for (const bool weighted : {false, true}) {
+    for (const double noise : {0.0, 0.05}) {
+      RmatParams p;
+      p.num_vertices = 1000;  // rounds up to 1024
+      p.num_edges = m;
+      p.noise = noise;
+      p.weighted = weighted;
+      p.seed = 1234 + m;
+      const std::string what = "m=" + std::to_string(m) +
+                               " weighted=" + std::to_string(weighted) +
+                               " noise=" + std::to_string(noise);
+      const std::vector<Edge> want = serial_rmat_edges(p);
+      for (const unsigned threads : thread_counts) {
+        EXPECT_TRUE(rmat_edges(p, threads) == want) << what << " threads=" << threads;
+      }
+      BuildOptions opts;
+      opts.keep_weights = weighted;
+      expect_same_csr(generate_rmat(p), comparator_sort_build(1024, want, opts), what);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(EdgeCounts, RmatOracle,
+                         ::testing::Values(EdgeId{0}, EdgeId{1}, EdgeId{7}, EdgeId{4097},
+                                           EdgeId{65'537}, EdgeId{(1u << 20) + 3}),
+                         [](const auto& param_info) {
+                           return "m" + std::to_string(param_info.param);
+                         });
+
+// Every option combination on R-MAT edges, which carry self-loops and
+// parallel edges, below and above the one-thread cut-off; the vertex space
+// runs past the largest endpoint so trailing vertices are isolated.
+TEST(Builder, EveryOptionMatchesComparatorSort) {
+  for (const EdgeId m : {EdgeId{4097}, EdgeId{65'537}}) {
+    RmatParams p;
+    p.num_vertices = 1000;
+    p.num_edges = m;
+    p.weighted = true;
+    p.seed = 5;
+    const std::vector<Edge> edges = serial_rmat_edges(p);
+    for (int mask = 0; mask < 16; ++mask) {
+      BuildOptions opts;
+      opts.deduplicate = (mask & 1) != 0;
+      opts.drop_self_loops = (mask & 2) != 0;
+      opts.symmetrize = (mask & 4) != 0;
+      opts.keep_weights = (mask & 8) != 0;
+      const std::string what =
+          "m=" + std::to_string(m) + " options=" + std::to_string(mask);
+      const CsrGraph want = comparator_sort_build(1030, edges, opts);
+      expect_same_csr(GraphBuilder(1030, edges).build(opts), want, what);
+      GraphBuilder one_by_one(1030);
+      for (const Edge& e : edges) one_by_one.add_edge(e.src, e.dst, e.weight);
+      expect_same_csr(std::move(one_by_one).build(opts), want, what + " add_edge");
+    }
+  }
+}
+
+TEST(Builder, EdgeListConstructorRejectsOutOfRangeEndpoint) {
+  EXPECT_THROW(GraphBuilder(2, {Edge{0, 1}, Edge{2, 0}}), std::out_of_range);
+  EXPECT_EQ(GraphBuilder(2, {Edge{1, 0}}).build().num_edges(), 1u);
+}
+
 TEST(ErdosRenyi, NearUniformDegrees) {
   ErdosRenyiParams p;
   p.num_vertices = 1 << 12;
@@ -183,6 +349,17 @@ TEST(Zipf, PowerLawOutDegrees) {
   const auto s = compute_stats(g);
   EXPECT_GT(s.top1pct_edge_share, 0.3);
   EXPECT_GT(s.max_out_degree, 100u * static_cast<EdgeId>(s.avg_out_degree));
+}
+
+TEST(Zipf, RejectsEdgesOnZeroVertices) {
+  ZipfParams p;
+  p.num_vertices = 0;
+  p.num_edges = 4;
+  EXPECT_THROW(generate_zipf(p), std::invalid_argument);
+  p.num_edges = 0;
+  const CsrGraph g = generate_zipf(p);
+  EXPECT_EQ(g.num_vertices(), 0u);
+  EXPECT_EQ(g.num_edges(), 0u);
 }
 
 TEST(ZipfSampler, PrefersLowRanks) {
@@ -297,6 +474,85 @@ TEST(Datasets, TwitterIsMostSkewed) {
   const auto tt = compute_stats(make_dataset(DatasetId::TT, Scale::kTest));
   const auto cw = compute_stats(make_dataset(DatasetId::CW, Scale::kTest));
   EXPECT_GT(tt.top1pct_edge_share, cw.top1pct_edge_share);
+}
+
+// 64-bit fold of every array a CsrGraph carries, sizes included.
+std::uint64_t csr_hash(const CsrGraph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    h = (h ^ v) * 0x100000001b3ull;
+    h ^= h >> 29;
+  };
+  const auto mix_all = [&mix](const auto& values) {
+    for (const auto x : values) {
+      if constexpr (std::is_same_v<std::decay_t<decltype(x)>, float>) {
+        mix(std::bit_cast<std::uint32_t>(x));
+      } else {
+        mix(static_cast<std::uint64_t>(x));
+      }
+    }
+    mix(values.size());
+  };
+  mix(g.num_vertices());
+  mix(g.num_edges());
+  mix_all(g.offsets());
+  mix_all(g.edges());
+  mix_all(g.weights());
+  mix_all(g.labels());
+  return h;
+}
+
+struct GraphPin {
+  const char* name;
+  VertexId vertices;
+  EdgeId edges;
+  std::uint64_t hash;
+};
+
+void expect_pinned(const CsrGraph& g, const GraphPin& pin) {
+  EXPECT_EQ(g.num_vertices(), pin.vertices) << pin.name;
+  EXPECT_EQ(g.num_edges(), pin.edges) << pin.name;
+  EXPECT_EQ(csr_hash(g), pin.hash) << pin.name << ": got 0x" << std::hex << csr_hash(g);
+}
+
+// Every generated dataset at test and small scale, byte for byte: the
+// generators may change how they compute a graph, never which graph.
+TEST(DatasetPins, TestAndSmallScaleAreByteStable) {
+  struct Case {
+    DatasetId id;
+    Scale scale;
+    GraphPin pin;
+  };
+  const Case cases[] = {
+      {DatasetId::TT, Scale::kTest, {"TT test", 1024, 16384, 0x3a4c1fc02afb3f2}},
+      {DatasetId::FS, Scale::kTest, {"FS test", 2048, 24576, 0x5c16d042cd6bec6}},
+      {DatasetId::CW, Scale::kTest, {"CW test", 32768, 49152, 0xa52f6f53fdbc977c}},
+      {DatasetId::R2B, Scale::kTest, {"R2B test", 1024, 20480, 0x77b2d16f28544d77}},
+      {DatasetId::R8B, Scale::kTest, {"R8B test", 4096, 49152, 0x66d1d02f333d3174}},
+      {DatasetId::TT, Scale::kSmall, {"TT small", 8192, 262144, 0x1aeed16f73f5fa3e}},
+      {DatasetId::FS, Scale::kSmall, {"FS small", 32768, 524288, 0x7d577e55438202cd}},
+      {DatasetId::CW, Scale::kSmall, {"CW small", 262144, 458752, 0xc2681e93a04b8ebc}},
+      {DatasetId::R2B, Scale::kSmall, {"R2B small", 16384, 393216, 0x950cd03fd37ea051}},
+      {DatasetId::R8B, Scale::kSmall, {"R8B small", 65536, 1048576, 0xd60b62ac66e193aa}},
+  };
+  for (const Case& c : cases) expect_pinned(make_dataset(c.id, c.scale), c.pin);
+}
+
+TEST(DatasetPins, WeightedGeneratorsAreByteStable) {
+  RmatParams rp;
+  rp.num_vertices = 3000;
+  rp.num_edges = 100'003;
+  rp.weighted = true;
+  rp.seed = 77;
+  expect_pinned(generate_rmat(rp), {"weighted rmat", 4096, 100'003, 0xdc716d564e258d24});
+
+  ZipfParams zp;
+  zp.num_vertices = 3000;
+  zp.num_edges = 100'003;
+  zp.hub_fraction = 0.1;
+  zp.weighted = true;
+  zp.seed = 78;
+  expect_pinned(generate_zipf(zp), {"weighted zipf", 3000, 100'003, 0x532899a20842a10c});
 }
 
 TEST(Datasets, WalkCountsFollowPaperRatios) {
