@@ -1,6 +1,7 @@
 #include "accel/engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <iterator>
 #include <limits>
@@ -18,6 +19,14 @@ namespace {
 /// Comparator-tree depth for matching against `n` loaded subgraphs.
 std::uint32_t match_cycles(std::size_t n) {
   return n == 0 ? 1 : static_cast<std::uint32_t>(std::bit_width(n));
+}
+
+/// One visit into a tally every hop-executing shard shares. Relaxed adds
+/// suffice: the tallies are read only after the run's workers have joined,
+/// and integer sums do not depend on the order the shards add in, so the
+/// counts are identical for any worker count.
+void count_visit(std::uint64_t& tally) {
+  std::atomic_ref<std::uint64_t>(tally).fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -182,10 +191,7 @@ FlashWalkerEngine::FlashWalkerEngine(const partition::PartitionedGraph& pg,
   // ONFI-command + DRAM-hop cost, so every send clears it.
   track_job_visits_ = track_job_outputs_ && opt_.record_visits;
   sinks_ = std::vector<ShardSink>(local_shard_count(opt_.accel, opt_.ssd));
-  for (auto& sink : sinks_) {
-    sink.job_hops.assign(jobs_.size(), 0);
-    if (track_job_visits_) sink.job_visits.resize(jobs_.size());
-  }
+  for (auto& sink : sinks_) sink.job_hops.assign(jobs_.size(), 0);
   handoff_ns_ = conservative_lookahead_ns(opt_.accel, opt_.ssd);
   if (opt_.trace != nullptr && opt_.sim_threads > 1) {
     throw std::invalid_argument(
@@ -334,15 +340,40 @@ void FlashWalkerEngine::admit_job(std::uint16_t j) {
   if (track_job_outputs_ && opt_.record_endpoints) {
     jc.endpoints.assign(pg_->graph().num_vertices(), 0);
   }
-  // Per-job visit counts accumulate in the shard sinks and are merged after
-  // the run (merge_sinks), so no per-job vector is assigned here.
+  // Sized before the job's first walk exists; hops on any shard count into
+  // it from then on.
+  if (track_job_visits_) jc.visits.assign(pg_->graph().num_vertices(), 0);
 
   const auto& spec = jc.job.spec;
   const VertexId n = pg_->graph().num_vertices();
   // Start-vertex draws come from a job-local generator and the per-walk
   // streams are keyed off (job seed, local walk id), so a job's walk output
-  // is bit-identical whether it runs alone or co-scheduled.
-  Xoshiro256 job_rng(spec.seed);
+  // is bit-identical whether it runs alone or co-scheduled. The sequence is
+  // a pure function of the spec, so it is enumerated twice: once to size
+  // each partition's pending list exactly, once to fill it.
+  auto for_each_start = [&](auto&& fn) {
+    Xoshiro256 job_rng(spec.seed);
+    switch (spec.start_mode) {
+      case rw::StartMode::kAllVertices:
+        for (VertexId v = 0; v < n; ++v) fn(v);
+        break;
+      case rw::StartMode::kUniformRandom:
+        for (std::uint64_t i = 0; i < spec.num_walks; ++i) fn(job_rng.bounded(n));
+        break;
+      case rw::StartMode::kSingleSource:
+        for (std::uint64_t i = 0; i < spec.num_walks; ++i) fn(spec.source);
+        break;
+    }
+  };
+  std::vector<std::uint64_t> starts(pg_->num_partitions(), 0);
+  for_each_start(
+      [&](VertexId v) { ++starts[pg_->partition_of(pg_->subgraph_of(v))]; });
+  for (PartitionId p = 0; p < starts.size(); ++p) {
+    if (starts[p] > 0 && owns_partition(p)) {
+      pending_[p].reserve(pending_[p].size() + starts[p]);
+    }
+  }
+
   std::uint32_t local = 0;
   auto start_walk = [&](VertexId v) {
     const std::uint32_t idx = local++;
@@ -370,17 +401,7 @@ void FlashWalkerEngine::admit_job(std::uint16_t j) {
     pending_[part].push_back(w);
   };
 
-  switch (spec.start_mode) {
-    case rw::StartMode::kAllVertices:
-      for (VertexId v = 0; v < n; ++v) start_walk(v);
-      break;
-    case rw::StartMode::kUniformRandom:
-      for (std::uint64_t i = 0; i < spec.num_walks; ++i) start_walk(job_rng.bounded(n));
-      break;
-    case rw::StartMode::kSingleSource:
-      for (std::uint64_t i = 0; i < spec.num_walks; ++i) start_walk(spec.source);
-      break;
-  }
+  for_each_start(start_walk);
   jc.started = local;
   if (jc.expected == 0) {
     // Standalone: the empty job completes on the spot. Array-attached: the
@@ -657,15 +678,8 @@ FlashWalkerEngine::HopOutcome FlashWalkerEngine::update_walk_step(
   --w.hops_left;
   ++sink.metrics.total_hops;
   ++sink.job_hops[w.job];
-  if (opt_.record_visits) {
-    if (sink.visits.empty()) sink.visits.assign(pg_->graph().num_vertices(), 0);
-    ++sink.visits[s.next];
-  }
-  if (track_job_visits_) {
-    auto& jv = sink.job_visits[w.job];
-    if (jv.empty()) jv.assign(pg_->graph().num_vertices(), 0);
-    ++jv[s.next];
-  }
+  if (opt_.record_visits) count_visit(visits_[s.next]);
+  if (track_job_visits_) count_visit(jobs_[w.job].visits[s.next]);
   if (opt_.record_paths) paths_[w.id].push_back(s.next);
   out.completed = verdict == rw::WalkModel::Verdict::kTerminate || w.finished();
   return out;
@@ -1241,7 +1255,10 @@ void FlashWalkerEngine::start_load(std::uint32_t g, std::size_t slot_idx, Subgra
   pwb_walks_[sg] = bsink.walk_pool.acquire();
   const std::uint64_t fl_count = fl_walks_[sg].size();
   walks.insert(walks.end(), fl_walks_[sg].begin(), fl_walks_[sg].end());
-  fl_walks_[sg].clear();
+  // The flash-resident list can grow far past batch scale between loads;
+  // hand its buffer to the pool (which drops it if it is that large)
+  // instead of keeping the capacity for the rest of the run.
+  bsink.walk_pool.release(std::exchange(fl_walks_[sg], {}));
   // A full load grants the subgraph's plane-read pages to the jobs whose
   // walks it serves (the weighted-fair deficit currency); a refresh fetches
   // walks only and grants nothing.
@@ -1639,8 +1656,7 @@ void FlashWalkerEngine::apply_board_batch(std::vector<BoardOp> ops) {
 }
 
 void FlashWalkerEngine::enqueue_board(std::vector<rw::Walk> walks) {
-  for (auto& w : walks) board_.guide.push_back(w);
-  sinks_[kBoardShard].walk_pool.release(std::move(walks));
+  sinks_[kBoardShard].walk_pool.release(board_.guide.append(std::move(walks)));
   kick_board_guider();
 }
 
@@ -1924,26 +1940,10 @@ void FlashWalkerEngine::maybe_switch_partition() {
 // ---------------------------------------------------------------------------
 
 void FlashWalkerEngine::merge_sinks() {
-  const VertexId nv = pg_->graph().num_vertices();
   for (auto& jc : jobs_) jc.hops = 0;
   for (const ShardSink& sink : sinks_) {
     metrics_ += sink.metrics;
     for (std::size_t j = 0; j < jobs_.size(); ++j) jobs_[j].hops += sink.job_hops[j];
-    if (!sink.visits.empty()) {
-      for (VertexId v = 0; v < nv; ++v) visits_[v] += sink.visits[v];
-    }
-  }
-  if (track_job_visits_) {
-    for (std::size_t j = 0; j < jobs_.size(); ++j) {
-      JobRt& jc = jobs_[j];
-      if (!jc.admitted) continue;  // never-admitted jobs report no vectors
-      jc.visits.assign(nv, 0);
-      for (const ShardSink& sink : sinks_) {
-        const auto& jv = sink.job_visits[j];
-        if (jv.empty()) continue;
-        for (VertexId v = 0; v < nv; ++v) jc.visits[v] += jv[v];
-      }
-    }
   }
 }
 

@@ -51,6 +51,7 @@
 #include "accel/scheduler.hpp"
 #include "accel/service/job.hpp"
 #include "common/assoc_cache.hpp"
+#include "common/fifo.hpp"
 #include "common/pool.hpp"
 #include "common/rng.hpp"
 #include "obs/counters.hpp"
@@ -329,7 +330,9 @@ class FlashWalkerEngine {
 
   struct BoardState {
     std::vector<LoadedSg> hot;
-    std::deque<rw::Walk> guide;
+    /// Guide buffer. A batch that arrives while it is empty (a job's whole
+    /// admission, a partition's pending list) is adopted, not copied.
+    Fifo<rw::Walk> guide;
     sim::SerialResource guider_unit;
     sim::SerialResource updater_unit;
     bool guiding = false;
@@ -415,12 +418,7 @@ class FlashWalkerEngine {
   /// Cache-line aligned so neighbouring shards don't false-share.
   struct alignas(64) ShardSink {
     EngineMetrics metrics;
-    /// Per-vertex visit counts (lazily sized on first hop, merged into the
-    /// global vector post-run); only filled when record_visits is on.
-    std::vector<std::uint64_t> visits;
     std::vector<std::uint64_t> job_hops;  ///< per job, sized up front
-    /// Per-job visit counts (explicit-jobs runs with record_visits only).
-    std::vector<std::vector<std::uint64_t>> job_visits;
     VectorPool<rw::Walk> walk_pool;
     bool done = false;  ///< quiesce flag, set by the board's broadcast
     /// Channel→board ops staged this window (channel shards only); always
@@ -457,7 +455,9 @@ class FlashWalkerEngine {
     bool admitted = false;
     Tick admit_tick = 0;
     Tick done_tick = 0;
-    std::vector<std::uint64_t> visits;     ///< explicit-jobs runs only
+    /// Explicit-jobs runs with record_visits only: sized at admission and
+    /// counted into by every hop-executing shard (see count_visit).
+    std::vector<std::uint64_t> visits;
     std::vector<std::uint64_t> endpoints;  ///< explicit-jobs runs only
   };
 
@@ -602,8 +602,8 @@ class FlashWalkerEngine {
   void check_done();
   /// Board → all channel shards: the run is over; stop polling and kicking.
   void broadcast_done();
-  /// Fold every shard sink into the global totals (metrics_, job hops and
-  /// visit vectors). Deterministic: plain sums in shard order.
+  /// Fold every shard sink into the global totals (metrics_ and job hops).
+  /// Deterministic: plain sums in shard order.
   void merge_sinks();
   [[nodiscard]] std::uint32_t chip_of_sg(SubgraphId sg) const;
   [[nodiscard]] bool walk_in_sg(const rw::Walk& w, const partition::Subgraph& sg) const;
@@ -700,6 +700,9 @@ class FlashWalkerEngine {
 
   EngineMetrics metrics_;  ///< run totals, valid after merge_sinks()
   obs::CounterRegistry registry_;
+  /// Per-vertex visit counts (record_visits). One vector for the whole run,
+  /// counted into by every hop-executing shard (see count_visit), so its
+  /// memory does not grow with the shard count.
   std::vector<std::uint64_t> visits_;
   std::vector<std::uint64_t> endpoints_;
   std::vector<std::vector<VertexId>> paths_;

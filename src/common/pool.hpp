@@ -7,6 +7,11 @@
 // vector that keeps its previous capacity, release() returns it — so
 // steady-state simulation performs no allocator traffic for batch vectors.
 //
+// Pools keep buffers at batch scale only. A buffer released with room for
+// more than kMaxCapacity elements (a job's whole admitted walk list, a long
+// flash-resident list) is freed, not kept: pooling it would pin that memory
+// for the rest of the run to save one allocation.
+//
 // Not thread-safe by design: pools are owned per shard — each DES shard
 // keeps its own VectorPool and only that shard's worker touches it (see
 // docs/MODELING.md "Parallel DES").
@@ -21,6 +26,10 @@ namespace fw {
 template <typename T>
 class VectorPool {
  public:
+  /// Largest capacity a kept buffer may have: above the biggest batches the
+  /// engine moves (a board dispatch, a roving buffer, a PWB entry).
+  static constexpr std::size_t kMaxCapacity = 4096;
+
   /// Bound the free list so a one-off burst does not pin memory forever.
   explicit VectorPool(std::size_t max_free = 256) : max_free_(max_free) {}
 
@@ -32,9 +41,13 @@ class VectorPool {
     return v;
   }
 
-  /// Return a spent vector to the pool (cleared, capacity retained).
+  /// Return a spent vector to the pool (cleared, capacity retained), or
+  /// free it when the pool is full or the buffer is above batch scale.
   void release(std::vector<T>&& v) {
-    if (free_.size() >= max_free_ || v.capacity() == 0) return;
+    if (free_.size() >= max_free_ || v.capacity() == 0 || v.capacity() > kMaxCapacity) {
+      std::vector<T>().swap(v);
+      return;
+    }
     v.clear();
     free_.push_back(std::move(v));
   }

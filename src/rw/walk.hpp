@@ -17,15 +17,8 @@ namespace fw::rw {
 inline constexpr std::uint32_t kNoRangeTag = ~0u;
 
 struct Walk {
-  /// Simulation-side identity (used for optional path recording; not part
-  /// of the modeled on-flash state, so it never enters byte accounting).
-  /// Globally unique across jobs: job `walk_base` + local walk index.
-  std::uint32_t id = 0;
-  /// Owning walk job (index into the engine's job table). Single-workload
-  /// runs use the implicit job 0. Rides along for per-job walk-model
-  /// dispatch, fair-share accounting, and per-job output attribution; like
-  /// `id` it is simulation-side and never enters byte accounting.
-  std::uint16_t job = 0;
+  // Fields run from widest to narrowest, so the record packs into 56 bytes
+  // with padding only at the end (grouped by meaning it padded to 64).
   VertexId src = 0;
   VertexId cur = 0;
   /// Model-owned carried state (WalkModel::init_state/update): the previous
@@ -34,17 +27,26 @@ struct Walk {
   /// WalkModel::state_bytes(), not sizeof — byte accounting charges the max
   /// over co-scheduled jobs.
   std::uint64_t state = 0;
-  std::uint16_t hops_left = 0;
-  /// Range ID attached by the channel-level approximate walk search; the
-  /// board-level guider then searches only that slice of the mapping table.
-  std::uint32_t range_tag = kNoRangeTag;
-  /// For a dense walk: the subgraph (graph block) pre-walking selected.
-  SubgraphId prewalked_sg = kInvalidSubgraph;
   /// Per-walk RNG stream (simulation-side, like `id`): sampling draws come
   /// from the walk's own stream, so its path depends only on (seed, id, hop)
   /// — never on how timing interleaves walks. This is what keeps walk output
   /// invariant under fault-injected (retry/recovery) schedules.
   std::uint64_t rng_state = 0;
+  /// Simulation-side identity (used for optional path recording; not part
+  /// of the modeled on-flash state, so it never enters byte accounting).
+  /// Globally unique across jobs: job `walk_base` + local walk index.
+  std::uint32_t id = 0;
+  /// Range ID attached by the channel-level approximate walk search; the
+  /// board-level guider then searches only that slice of the mapping table.
+  std::uint32_t range_tag = kNoRangeTag;
+  /// For a dense walk: the subgraph (graph block) pre-walking selected.
+  SubgraphId prewalked_sg = kInvalidSubgraph;
+  /// Owning walk job (index into the engine's job table). Single-workload
+  /// runs use the implicit job 0. Rides along for per-job walk-model
+  /// dispatch, fair-share accounting, and per-job output attribution; like
+  /// `id` it is simulation-side and never enters byte accounting.
+  std::uint16_t job = 0;
+  std::uint16_t hops_left = 0;
   /// Set while the walk sits parked behind a retrying subgraph load; cleared
   /// on its next update. A walk parks at most once per hop, so retries delay
   /// but can never livelock it.
@@ -52,6 +54,9 @@ struct Walk {
 
   [[nodiscard]] bool finished() const { return hops_left == 0; }
 };
+// Every buffer, queue and flash-resident list holds walks by value, so host
+// memory per live walk is this size.
+static_assert(sizeof(Walk) <= 56, "rw::Walk grew past its 56-byte record");
 
 /// On-flash / in-buffer footprint of one walk: src + cur + hop counter.
 /// Dense walks stored in a dense subgraph's buffer entry omit `cur` (it is

@@ -1,6 +1,7 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -26,7 +27,23 @@ EventQueue::EventQueue(std::uint32_t width_log2, std::uint32_t buckets_log2)
     : shift_(width_log2),
       nbuckets_(std::uint64_t{1} << buckets_log2),
       mask_(nbuckets_ - 1),
-      buckets_(nbuckets_) {}
+      buckets_(nbuckets_),
+      occupied_((nbuckets_ + 63) / 64, 0) {}
+
+std::uint64_t EventQueue::next_occupied(std::uint64_t bid) const {
+  const std::uint64_t start = bid & mask_;
+  std::size_t w = start >> 6;
+  std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (start & 63));
+  // Wrapping back to the start word takes it whole, so slots behind the
+  // start (bids one lap ahead) are found last, as ring order requires.
+  while (bits == 0) {
+    w = (w + 1) % occupied_.size();
+    bits = occupied_[w];
+  }
+  const std::uint64_t pos = (static_cast<std::uint64_t>(w) << 6) |
+                            static_cast<std::uint64_t>(std::countr_zero(bits));
+  return bid + ((pos - start) & mask_);
+}
 
 void EventQueue::push(Tick at, EventFn fn) {
   Event ev{at, next_seq_++, std::move(fn)};
@@ -57,6 +74,7 @@ void EventQueue::insert_into_window(Event ev) {
     return;
   }
   b.push_back(std::move(ev));
+  mark(bid);
   if (bid < scan_bid_) {
     // A pop from the scan bucket would have anchored floor_ == scan_, and
     // anything earlier than floor_ takes the rewind path — so the scan
@@ -103,6 +121,10 @@ void EventQueue::rewind_to(std::uint64_t bid) {
     }
     b.erase(keep, b.end());
   }
+  std::fill(occupied_.begin(), occupied_.end(), 0);
+  for (std::uint64_t i = 0; i < nbuckets_; ++i) {
+    if (!buckets_[i].empty()) mark(i);
+  }
   floor_bid_ = bid;
   scan_bid_ = bid;
 }
@@ -112,6 +134,7 @@ void EventQueue::settle() {
   if (active_ && pos_ < bucket(scan_bid_).size()) return;
   if (active_) {
     bucket(scan_bid_).clear();
+    unmark(scan_bid_);
     active_ = false;
     pos_ = 0;
     ++scan_bid_;
@@ -123,10 +146,8 @@ void EventQueue::settle() {
     scan_bid_ = floor_bid_;
     promote_overflow();
   }
-  while (bucket(scan_bid_).empty()) {
-    ++scan_bid_;
-    assert(scan_bid_ < window_end() && "window count out of sync");
-  }
+  scan_bid_ = next_occupied(scan_bid_);
+  assert(scan_bid_ < window_end() && "window count out of sync");
   std::vector<Event>& b = bucket(scan_bid_);
   if (b.size() > 1) {
     std::sort(b.begin(), b.end(), [](const Event& a, const Event& e) {
@@ -156,6 +177,7 @@ std::pair<Tick, EventFn> EventQueue::pop() {
   ++pos_;
   if (pos_ == b.size()) {
     b.clear();
+    unmark(scan_bid_);
     active_ = false;
     pos_ = 0;
     // Keep scan_ on the drained bucket until floor_ advances below.

@@ -24,8 +24,10 @@
 // the heap's O(log k) costs (measured: a 0.52 ms window runs ~2.5x slower
 // than this geometry on the bench/sim_hotpath mixture). Buckets are sorted
 // lazily when the drain cursor reaches them, so the common push is
-// allocation-free and comparison-free. See docs/MODELING.md ("The DES
-// kernel").
+// allocation-free and comparison-free. A one-bit-per-bucket occupancy mask
+// lets the cursor jump straight to the next non-empty bucket: a lone
+// re-armed 2 us poll would otherwise make it step over ~500 empty buckets.
+// See docs/MODELING.md ("The DES kernel").
 #pragma once
 
 #include <cassert>
@@ -84,10 +86,23 @@ class EventQueue {
     return buckets_[bid & mask_];
   }
 
-  /// Position the drain cursor on the earliest event: advance over empty
-  /// buckets, jump/promote from overflow when the window is drained, and
-  /// sort the target bucket. Precondition: !empty().
+  /// Position the drain cursor on the earliest event: jump to the next
+  /// occupied bucket, jump/promote from overflow when the window is
+  /// drained, and sort the target bucket. Precondition: !empty().
   void settle();
+
+  /// Occupancy mask upkeep: bucket `bid` became non-empty / empty.
+  void mark(std::uint64_t bid) {
+    const std::uint64_t i = bid & mask_;
+    occupied_[i >> 6] |= std::uint64_t{1} << (i & 63);
+  }
+  void unmark(std::uint64_t bid) {
+    const std::uint64_t i = bid & mask_;
+    occupied_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+  }
+  /// First occupied bucket at or after `bid` in ring order. Precondition:
+  /// some bucket is occupied.
+  [[nodiscard]] std::uint64_t next_occupied(std::uint64_t bid) const;
 
   /// Place an in-window event (counters managed by the caller).
   void insert_into_window(Event ev);
@@ -105,6 +120,9 @@ class EventQueue {
   std::uint64_t mask_;
 
   std::vector<std::vector<Event>> buckets_;
+  /// Bit (bid & mask_) is set iff that bucket holds events (consumed or
+  /// not); one 64-bit word per 64 buckets.
+  std::vector<std::uint64_t> occupied_;
   std::vector<Event> overflow_;  ///< min-heap by (at, seq)
 
   std::uint64_t floor_bid_ = 0;  ///< window anchor: bucket of the last pop

@@ -19,17 +19,30 @@ Ftl::Ftl(FlashArray& flash, std::uint32_t reserved_blocks_per_plane)
     throw std::invalid_argument("Ftl: graph reservation leaves no writable blocks");
   }
   usable_blocks_ = topo.blocks_per_plane - reserved_;
+  // The last usable block is the GC copy-back spare: relocated pages land
+  // there, which keeps GC strictly in-plane. A one-block plane has no spare
+  // (and thus no way to relocate valid data).
+  fresh_end_ = usable_blocks_ >= 2 ? usable_blocks_ - 1 : usable_blocks_;
   planes_.resize(topo.total_planes());
   for (auto& p : planes_) {
-    p.blocks.resize(usable_blocks_);
+    p.blocks.resize(1);  // block 0 opens as the active block
     p.active_block = 0;
-    // The last usable block is the GC copy-back spare: relocated pages land
-    // there, which keeps GC strictly in-plane. A one-block plane has no
-    // spare (and thus no way to relocate valid data).
-    if (usable_blocks_ >= 2) p.spare_block = usable_blocks_ - 1;
-    const std::uint32_t free_end = usable_blocks_ >= 2 ? usable_blocks_ - 1 : usable_blocks_;
-    for (std::uint32_t b = 1; b < free_end; ++b) p.free_blocks.push_back(b);
+    if (usable_blocks_ >= 2) p.spare_block = fresh_end_;
   }
+}
+
+std::uint32_t Ftl::pop_free(PlaneState& ps) {
+  if (ps.blocks.size() < fresh_end_) {
+    ps.blocks.emplace_back();
+    return static_cast<std::uint32_t>(ps.blocks.size() - 1);
+  }
+  const std::uint32_t b = ps.recycled.front();
+  ps.recycled.pop_front();
+  return b;
+}
+
+void Ftl::skip_bad_free(std::uint32_t plane_index, PlaneState& ps) {
+  while (has_free(ps) && bbm_.is_bad(plane_index, front_free(ps))) pop_free(ps);
 }
 
 void Ftl::attach_observability(obs::CounterRegistry* registry,
@@ -70,31 +83,27 @@ std::pair<std::uint64_t, Tick> Ftl::allocate(Tick now) {
 
   PlaneState& ps = planes_[plane_index];
   Tick ready = now;
-  BlockState* active = &ps.blocks[ps.active_block];
+  BlockState* active = &block(ps, ps.active_block);
   if (active->written >= topo.pages_per_block) {
     // Each successful GC pass erases one block; it may rotate into the
     // spare instead of landing on the free list, so keep collecting while
     // progress is being made (bounded by the plane's block count). A pass
     // that only retires a bad block is progress too — the next iteration
     // picks a different victim.
-    for (std::uint32_t attempt = 0;
-         ps.free_blocks.empty() && attempt < usable_blocks_; ++attempt) {
+    for (std::uint32_t attempt = 0; !has_free(ps) && attempt < usable_blocks_;
+         ++attempt) {
       const std::uint64_t erases_before = stats_.gc_erases;
       ready = collect_garbage(ready, plane_index);
       if (stats_.gc_erases == erases_before) break;
     }
     // Retired blocks never enter the free list at retirement time, but a
     // block queued here before going bad must not be re-opened.
-    while (!ps.free_blocks.empty() &&
-           bbm_.is_bad(plane_index, ps.free_blocks.front())) {
-      ps.free_blocks.pop_front();
-    }
-    if (ps.free_blocks.empty()) {
+    skip_bad_free(plane_index, ps);
+    if (!has_free(ps)) {
       throw std::runtime_error("Ftl: plane out of space even after GC");
     }
-    ps.active_block = ps.free_blocks.front();
-    ps.free_blocks.pop_front();
-    active = &ps.blocks[ps.active_block];
+    ps.active_block = pop_free(ps);
+    active = &block(ps, ps.active_block);
   }
 
   FlashAddress addr = plane_address(plane_index);
@@ -112,14 +121,18 @@ std::uint32_t Ftl::find_victim(std::uint32_t plane_index, bool idle) const {
   const std::uint32_t spare_room =
       ps.spare_block == kNone
           ? 0
-          : topo.pages_per_block - ps.blocks[ps.spare_block].written;
+          : topo.pages_per_block - block(ps, ps.spare_block).written;
   std::uint32_t victim = kNone;
   std::uint32_t victim_valid = std::numeric_limits<std::uint32_t>::max();
   std::uint32_t victim_erases = std::numeric_limits<std::uint32_t>::max();
-  for (std::uint32_t b = 0; b < ps.blocks.size(); ++b) {
+  // Untouched blocks hold nothing to collect, so only the touched ones are
+  // scanned, in block order: the open prefix, then the initial spare.
+  const std::size_t touched = ps.blocks.size() + (usable_blocks_ >= 2 ? 1 : 0);
+  for (std::size_t i = 0; i < touched; ++i) {
+    const auto b = static_cast<std::uint32_t>(i < ps.blocks.size() ? i : fresh_end_);
     if (b == ps.spare_block) continue;
     if (bbm_.is_bad(plane_index, b)) continue;  // retired: never erase again
-    const BlockState& bs = ps.blocks[b];
+    const BlockState& bs = block(ps, b);
     // The open (active) block is off-limits while pages can still land in
     // it; once full it is sealed de facto and collectible under space
     // pressure (`allocate` re-opens on a fresh block right after). Idle GC
@@ -153,7 +166,7 @@ Tick Ftl::gc_block(Tick now, std::uint32_t plane_index, std::uint32_t victim) {
 
   const auto& topo = flash_.config().topo;
   PlaneState& ps = planes_[plane_index];
-  BlockState& vb = ps.blocks[victim];
+  BlockState& vb = block(ps, victim);
 
   FlashAddress victim_addr = plane_address(plane_index);
   victim_addr.block = reserved_ + victim;
@@ -171,7 +184,7 @@ Tick Ftl::gc_block(Tick now, std::uint32_t plane_index, std::uint32_t victim) {
     if (it == p2l_.end()) continue;
     const std::uint64_t lpn = it->second;
     assert(ps.spare_block != kNone && "Ftl: relocation with no spare block");
-    BlockState& sb = ps.blocks[ps.spare_block];
+    BlockState& sb = block(ps, ps.spare_block);
     FlashAddress new_addr = victim_addr;
     new_addr.block = reserved_ + ps.spare_block;
     new_addr.page = sb.written;
@@ -232,20 +245,12 @@ Tick Ftl::gc_block(Tick now, std::uint32_t plane_index, std::uint32_t victim) {
     // to a regular block and pull a replacement from the free list (degraded
     // `kNone` spare if the plane has none to give).
     if (ps.spare_block != kNone &&
-        ps.blocks[ps.spare_block].written == topo.pages_per_block) {
-      while (!ps.free_blocks.empty() &&
-             bbm_.is_bad(plane_index, ps.free_blocks.front())) {
-        ps.free_blocks.pop_front();
-      }
-      if (ps.free_blocks.empty()) {
-        ps.spare_block = kNone;
-      } else {
-        ps.spare_block = ps.free_blocks.front();
-        ps.free_blocks.pop_front();
-      }
+        block(ps, ps.spare_block).written == topo.pages_per_block) {
+      skip_bad_free(plane_index, ps);
+      ps.spare_block = has_free(ps) ? pop_free(ps) : kNone;
     }
   } else if (ps.spare_block == kNone) {
-    ps.free_blocks.push_back(victim);
+    ps.recycled.push_back(victim);
   } else {
     // Spare rotation. The freshly erased victim is the most attractive
     // spare (it is empty and just gained an erase, so handing it the cold
@@ -256,14 +261,14 @@ Tick Ftl::gc_block(Tick now, std::uint32_t plane_index, std::uint32_t victim) {
     //   - empty: swap roles and push the old spare to the free list;
     //   - partially filled: keep it as the spare so it can absorb more
     //     relocations, and free the victim.
-    const BlockState& sb = ps.blocks[ps.spare_block];
+    const BlockState& sb = block(ps, ps.spare_block);
     if (sb.written == topo.pages_per_block) {
       ps.spare_block = victim;
     } else if (sb.written == 0) {
-      ps.free_blocks.push_back(ps.spare_block);
+      ps.recycled.push_back(ps.spare_block);
       ps.spare_block = victim;
     } else {
-      ps.free_blocks.push_back(victim);
+      ps.recycled.push_back(victim);
     }
   }
 
@@ -287,7 +292,7 @@ void Ftl::retire_block(std::uint32_t plane_index, std::uint32_t rel_block,
   // Seal the block so the allocator treats it as full; `find_victim` and
   // the free-list filters consult the manager directly. Pages it still
   // holds stay mapped and readable — they are just never relocated.
-  planes_[plane_index].blocks[rel_block].written = flash_.config().topo.pages_per_block;
+  block(planes_[plane_index], rel_block).written = flash_.config().topo.pages_per_block;
   if (c_bad_blocks_ != nullptr) c_bad_blocks_->add();
 }
 
@@ -314,18 +319,17 @@ Tick Ftl::idle_gc(Tick now, std::uint32_t max_episodes) {
         // if it is fragmented enough, the way background GC closes open
         // blocks on a real drive. Needs a free block to re-open and spare
         // room for the survivors.
-        const BlockState& ab = ps.blocks[ps.active_block];
+        const BlockState& ab = block(ps, ps.active_block);
         const std::uint32_t spare_room =
             ps.spare_block == kNone
                 ? 0
-                : topo.pages_per_block - ps.blocks[ps.spare_block].written;
+                : topo.pages_per_block - block(ps, ps.spare_block).written;
         if (ab.written == 0 || ab.written - ab.valid < std::max(1u, ab.written / 2) ||
-            ab.valid > spare_room || ps.free_blocks.empty()) {
+            ab.valid > spare_room || !has_free(ps)) {
           break;
         }
         victim = ps.active_block;
-        ps.active_block = ps.free_blocks.front();
-        ps.free_blocks.pop_front();
+        ps.active_block = pop_free(ps);
       }
       plane_done = gc_block(plane_done, plane, victim);
       ++episodes;
@@ -340,11 +344,15 @@ Tick Ftl::idle_gc(Tick now, std::uint32_t max_episodes) {
 FtlStats Ftl::stats() const {
   std::uint32_t min_erases = std::numeric_limits<std::uint32_t>::max();
   std::uint32_t max_erases = 0;
+  auto fold = [&](const BlockState& bs) {
+    min_erases = std::min(min_erases, bs.erases);
+    max_erases = std::max(max_erases, bs.erases);
+  };
   for (const PlaneState& ps : planes_) {
-    for (const BlockState& bs : ps.blocks) {
-      min_erases = std::min(min_erases, bs.erases);
-      max_erases = std::max(max_erases, bs.erases);
-    }
+    // A never-used block has zero erases.
+    if (ps.blocks.size() < fresh_end_) min_erases = 0;
+    for (const BlockState& bs : ps.blocks) fold(bs);
+    if (usable_blocks_ >= 2) fold(ps.initial_spare);
   }
   stats_.min_block_erases = planes_.empty() ? 0 : min_erases;
   stats_.max_block_erases = max_erases;
@@ -372,8 +380,8 @@ Tick Ftl::write_page(Tick now, std::uint64_t lpn, bool over_channel) {
     const std::uint32_t plane_index = flash_.address_map().plane_index(addr);
     PlaneState& ps = planes_[plane_index];
     const std::uint32_t rel_block = addr.block - reserved_;
-    if (rel_block < ps.blocks.size() && ps.blocks[rel_block].valid > 0) {
-      --ps.blocks[rel_block].valid;
+    if (rel_block < usable_blocks_ && block(ps, rel_block).valid > 0) {
+      --block(ps, rel_block).valid;
     }
     p2l_.erase(old->second);
   }
@@ -401,7 +409,7 @@ Tick Ftl::write_page(Tick now, std::uint64_t lpn, bool over_channel) {
     // block; the next attempt allocates from a different plane.
     const std::uint32_t plane_index = flash_.address_map().plane_index(addr);
     const std::uint32_t rel_block = addr.block - reserved_;
-    --planes_[plane_index].blocks[rel_block].valid;
+    --block(planes_[plane_index], rel_block).valid;
     retire_block(plane_index, rel_block, reliability::RetireReason::kProgramFail);
   }
   throw std::runtime_error("Ftl: page program failed on every replacement block");

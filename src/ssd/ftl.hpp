@@ -12,13 +12,22 @@
 // boundary and the copy-back timing model (no channel transfer) matches what
 // actually happens. See docs/MODELING.md "GC model" for the spare-rotation
 // policy and the idle-GC pass.
+//
+// Block state is sparse. A plane's free list hands out never-used blocks in
+// increasing order, ahead of every recycled one, so the blocks a run has
+// touched are always a prefix [0, fresh) plus the initial spare. Only those
+// carry a BlockState; the rest read as all-zero (never written, never
+// erased), which is exactly what they are. A run that writes a few thousand
+// pages therefore keeps a few thousand blocks' state, not the 2M blocks of
+// the modeled drive.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
+#include "common/fifo.hpp"
 #include "ssd/flash_array.hpp"
 #include "ssd/reliability/bad_block.hpp"
 
@@ -105,13 +114,38 @@ class Ftl {
 
   static constexpr std::uint32_t kNone = 0xffffffffu;
 
+  /// Block indices below are relative to the first usable block. The free
+  /// list is the fresh blocks [blocks.size(), fresh_end_) in order, then
+  /// `recycled` in FIFO order.
   struct PlaneState {
-    std::vector<BlockState> blocks;  ///< indexed by block - reserved
+    std::vector<BlockState> blocks;  ///< the touched prefix [0, fresh)
+    BlockState initial_spare;        ///< block fresh_end_ (when usable >= 2)
     std::uint32_t active_block = 0;
     std::uint32_t spare_block = kNone;  ///< GC copy-back destination
-    std::deque<std::uint32_t> free_blocks;
+    Fifo<std::uint32_t> recycled;       ///< erased blocks back in circulation
     std::uint32_t trace_track = kNone;  ///< lazily registered GC lane
   };
+
+  /// State of a touched block (the open prefix or the initial spare).
+  [[nodiscard]] BlockState& block(PlaneState& ps, std::uint32_t b) const {
+    assert(b < ps.blocks.size() || (b == fresh_end_ && usable_blocks_ >= 2));
+    return b < ps.blocks.size() ? ps.blocks[b] : ps.initial_spare;
+  }
+  [[nodiscard]] const BlockState& block(const PlaneState& ps, std::uint32_t b) const {
+    assert(b < ps.blocks.size() || (b == fresh_end_ && usable_blocks_ >= 2));
+    return b < ps.blocks.size() ? ps.blocks[b] : ps.initial_spare;
+  }
+  [[nodiscard]] bool has_free(const PlaneState& ps) const {
+    return ps.blocks.size() < fresh_end_ || !ps.recycled.empty();
+  }
+  [[nodiscard]] std::uint32_t front_free(const PlaneState& ps) const {
+    return ps.blocks.size() < fresh_end_ ? static_cast<std::uint32_t>(ps.blocks.size())
+                                         : ps.recycled.front();
+  }
+  /// Take the free list's front block; a fresh one gains its (zero) state.
+  std::uint32_t pop_free(PlaneState& ps);
+  /// Drop free-list blocks retired while they waited there.
+  void skip_bad_free(std::uint32_t plane_index, PlaneState& ps);
 
   /// Pick the next physical page on the allocation cursor, running GC on
   /// the target plane if it has no free block. Returns the PPN and the tick
@@ -144,6 +178,9 @@ class Ftl {
   FlashArray& flash_;
   std::uint32_t reserved_;
   std::uint32_t usable_blocks_;  ///< per plane
+  /// End of the fresh range: the initial spare's index when the plane has
+  /// one (usable >= 2), else usable_blocks_.
+  std::uint32_t fresh_end_;
   std::vector<PlaneState> planes_;
   std::unordered_map<std::uint64_t, std::uint64_t> l2p_;
   std::unordered_map<std::uint64_t, std::uint64_t> p2l_;

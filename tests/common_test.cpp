@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <initializer_list>
 #include <set>
 #include <sstream>
@@ -15,8 +16,10 @@
 
 #include "common/assoc_cache.hpp"
 #include "common/bloom.hpp"
+#include "common/fifo.hpp"
 #include "common/fork_join.hpp"
 #include "common/options.hpp"
+#include "common/pool.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -143,6 +146,105 @@ TEST(SplitMix, KnownSequenceIsStable) {
   SplitMix64 sm2(0);
   EXPECT_EQ(first, sm2.next());
   EXPECT_NE(sm.next(), first);
+}
+
+// --- Fifo / VectorPool --------------------------------------------------------
+
+TEST(Fifo, MatchesDequeUnderInterleavedPushPopAndBatches) {
+  // A std::deque is the model. Random pushes, pops and batch appends (small
+  // ones into a busy queue, large ones into an empty queue) drive both
+  // through adoption, appending and many compactions.
+  Fifo<std::uint64_t> q;
+  std::deque<std::uint64_t> model;
+  Xoshiro256 rng(17);
+  std::uint64_t next = 0;
+  for (int op = 0; op < 200000; ++op) {
+    const std::uint64_t r = rng.bounded(100);
+    if (r < 45) {
+      q.push_back(next);
+      model.push_back(next++);
+    } else if (r < 97) {
+      if (model.empty()) continue;
+      ASSERT_EQ(q.front(), model.front());
+      q.pop_front();
+      model.pop_front();
+    } else {
+      std::vector<std::uint64_t> batch(rng.bounded(r == 99 ? 5000 : 100));
+      for (auto& v : batch) {
+        v = next++;
+        model.push_back(v);
+      }
+      const std::vector<std::uint64_t> spare = q.append(std::move(batch));
+      ASSERT_TRUE(spare.empty());
+    }
+    ASSERT_EQ(q.size(), model.size());
+    ASSERT_EQ(q.empty(), model.empty());
+    if (!model.empty()) {
+      ASSERT_EQ(q.front(), model.front());
+    }
+  }
+  while (!model.empty()) {
+    ASSERT_EQ(q.front(), model.front());
+    q.pop_front();
+    model.pop_front();
+  }
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(Fifo, EmptyQueueAdoptsBatchWithoutCopying) {
+  Fifo<int> q;
+  q.push_back(1);
+  q.pop_front();  // empty again, with a buffer of its own
+  std::vector<int> batch{10, 11, 12};
+  const int* data = batch.data();
+  const std::vector<int> spare = q.append(std::move(batch));
+  EXPECT_EQ(&q.front(), data);  // the batch's buffer, not a copy
+  EXPECT_TRUE(spare.empty());
+  EXPECT_GE(spare.capacity(), 1u);  // the queue's old buffer comes back
+  // A busy queue copies the batch in behind what it holds.
+  std::vector<int> more{13, 14};
+  const std::vector<int> drained = q.append(std::move(more));
+  EXPECT_TRUE(drained.empty());
+  for (int want = 10; want <= 14; ++want) {
+    ASSERT_FALSE(q.empty());
+    EXPECT_EQ(q.front(), want);
+    q.pop_front();
+  }
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(Fifo, CompactionKeepsOrder) {
+  // Pop past half of a 1000-element buffer (compaction), push more, and
+  // pop through the seam: order must be exactly FIFO throughout.
+  Fifo<int> q;
+  for (int i = 0; i < 1000; ++i) q.push_back(i);
+  for (int i = 0; i < 600; ++i) {
+    ASSERT_EQ(q.front(), i);
+    q.pop_front();
+  }
+  EXPECT_EQ(q.size(), 400u);
+  for (int i = 1000; i < 1300; ++i) q.push_back(i);
+  for (int i = 600; i < 1300; ++i) {
+    ASSERT_EQ(q.front(), i);
+    q.pop_front();
+  }
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(VectorPool, KeepsOnlyBatchScaleBuffers) {
+  VectorPool<int> pool;
+  std::vector<int> big(VectorPool<int>::kMaxCapacity + 1);
+  pool.release(std::move(big));
+  EXPECT_EQ(pool.free_count(), 0u);  // above batch scale: freed
+  std::vector<int> small;
+  small.reserve(8);
+  small.push_back(1);
+  pool.release(std::move(small));
+  EXPECT_EQ(pool.free_count(), 1u);
+  const std::vector<int> reused = pool.acquire();
+  EXPECT_TRUE(reused.empty());
+  EXPECT_GE(reused.capacity(), 8u);
+  EXPECT_EQ(pool.free_count(), 0u);
 }
 
 // --- Bloom filter ------------------------------------------------------------

@@ -85,14 +85,18 @@ std::vector<Scenario> make_matrix(const graph::CsrGraph& g) {
   return matrix;
 }
 
-/// Everything the engine externalizes about a run, in serialized form: the
-/// full JSON run report (counters, byte totals, per-job stats and outputs)
-/// plus the hierarchical metrics envelope. Byte-equality of these strings
-/// is the differential oracle.
+/// Everything the engine externalizes about a run: the full JSON run report
+/// (counters, byte totals, per-job stats), the hierarchical metrics
+/// envelope, and the per-vertex outputs the report does not serialize (the
+/// run's visit counts and each job's visit and endpoint counts). Equality
+/// of all of these is the differential oracle.
 struct RunFingerprint {
   Tick exec_time = 0;
   std::string report;
   std::string envelope;
+  std::vector<std::uint64_t> visits;
+  std::vector<std::vector<std::uint64_t>> job_visits;
+  std::vector<std::vector<std::uint64_t>> job_endpoints;
 
   bool operator==(const RunFingerprint& o) const = default;
 };
@@ -119,6 +123,11 @@ RunFingerprint run_scenario(const partition::PartitionedGraph& pg,
   std::ostringstream env;
   write_counters_json(env, r);
   fp.envelope = env.str();
+  fp.visits = r.visit_counts;
+  for (const service::JobResult& j : r.jobs) {
+    fp.job_visits.push_back(j.visit_counts);
+    fp.job_endpoints.push_back(j.endpoint_counts);
+  }
   return fp;
 }
 
@@ -136,6 +145,10 @@ TEST(EngineParallelDiff, WorkerCountIsInvisibleAcrossScenarioMatrix) {
     const RunFingerprint serial = run_scenario(pg, sc, 1);
     ASSERT_FALSE(serial.report.empty());
     ASSERT_GT(serial.exec_time, 0u);
+    ASSERT_EQ(serial.job_visits.size(), sc.jobs.size());
+    for (const auto& jv : serial.job_visits) {
+      ASSERT_EQ(jv.size(), g.num_vertices());  // every job ran and was counted
+    }
     for (const std::uint32_t workers : {2u, 4u, 8u}) {
       SCOPED_TRACE(std::to_string(workers) + " workers");
       const RunFingerprint parallel = run_scenario(pg, sc, workers);
@@ -145,6 +158,9 @@ TEST(EngineParallelDiff, WorkerCountIsInvisibleAcrossScenarioMatrix) {
       EXPECT_EQ(serial.exec_time, parallel.exec_time);
       EXPECT_EQ(serial.report, parallel.report);
       EXPECT_EQ(serial.envelope, parallel.envelope);
+      EXPECT_EQ(serial.visits, parallel.visits);
+      EXPECT_EQ(serial.job_visits, parallel.job_visits);
+      EXPECT_EQ(serial.job_endpoints, parallel.job_endpoints);
     }
   }
 }

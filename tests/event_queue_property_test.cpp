@@ -180,6 +180,77 @@ TEST(EventQueueProperty, NonMonotonePushesRewindWindow) {
   ASSERT_TRUE(q.empty());
 }
 
+TEST(EventQueueProperty, SparseFarApartEventsCrossEmptyBuckets) {
+  // Few events in flight, hundreds of buckets apart inside the default
+  // window: the drain cursor crosses long runs of empty buckets, and the
+  // delays land on and next to 64-bucket word edges of the occupancy mask.
+  auto sparse = [](Xoshiro256& rng) -> Tick {
+    const std::uint64_t r = rng.bounded(100);
+    if (r < 40) return 4 * (64 * (1 + rng.bounded(15)) + rng.bounded(3)) - 4;
+    if (r < 70) return 2000;  // the channel roving-poll re-arm
+    if (r < 90) return 600 + rng.bounded(3400);
+    return 4096 * (1 + rng.bounded(4)) + rng.bounded(8);  // just past the window
+  };
+  for (std::uint64_t seed : {2ull, 31ull, 4242ull}) {
+    run_against_model(EventQueue::kDefaultWidthLog2, EventQueue::kDefaultBucketsLog2,
+                      seed, 6000, sparse, /*expect_overflow=*/true);
+  }
+}
+
+TEST(EventQueueProperty, RingWrapAroundFindsBucketBehindCursor) {
+  // Delays just under the window span put the next event in the ring slot
+  // right behind the drain cursor, so every search wraps past the end of
+  // the ring; the occasional short delay keeps a near event ahead of it.
+  auto wrap = [](Xoshiro256& rng) -> Tick {
+    const std::uint64_t r = rng.bounded(100);
+    if (r < 70) return 4095 - rng.bounded(16);
+    if (r < 85) return rng.bounded(8);
+    return 3000 + rng.bounded(1000);
+  };
+  for (std::uint64_t seed : {8ull, 77ull}) {
+    run_against_model(EventQueue::kDefaultWidthLog2, EventQueue::kDefaultBucketsLog2,
+                      seed, 6000, wrap);
+  }
+  // Tiny 16-bucket ring: a single re-armed event laps the ring many times.
+  auto lap = [](Xoshiro256& rng) -> Tick { return 60 + rng.bounded(4); };
+  run_against_model(2, 4, 5, 3000, lap);
+}
+
+TEST(EventQueueProperty, RewindEvictsAndRefillsDefaultWindow) {
+  // Pushes far behind the last pop re-anchor the default window, evicting
+  // in-window events back to the overflow heap and emptying their buckets;
+  // later pops must still find every event in order.
+  EventQueue q;
+  ModelQueue model;
+  std::vector<std::uint64_t> fired;
+  Xoshiro256 rng(13);
+  std::uint64_t next_id = 0;
+  Tick now = 0;
+  auto push = [&](Tick at) {
+    const std::uint64_t id = next_id++;
+    q.push(at, [&fired, id] { fired.push_back(id); });
+    model.push(at, id);
+  };
+  auto pop = [&] {
+    ASSERT_EQ(q.next_tick(), model.next_tick());
+    const auto [model_tick, model_id] = model.pop();
+    auto [tick, fn] = q.pop();
+    ASSERT_EQ(tick, model_tick);
+    fn();
+    ASSERT_EQ(fired.back(), model_id);
+    now = tick;
+  };
+  for (int round = 0; round < 200; ++round) {
+    for (int i = 0; i < 8; ++i) push(now + rng.bounded(4096));
+    for (int i = 0; i < 3; ++i) pop();
+    // Rewind: up to ~3 windows behind the last delivery.
+    push(now > 12000 ? now - 1 - rng.bounded(12000) : rng.bounded(now + 1));
+    pop();
+  }
+  while (!model.empty()) pop();
+  ASSERT_TRUE(q.empty());
+}
+
 // --- empty-queue hard checks ----------------------------------------------
 
 TEST(EventQueueProperty, EmptyQueueAccessThrowsInEveryBuildType) {
