@@ -348,32 +348,7 @@ void FlashWalkerEngine::admit_job(std::uint16_t j) {
   const VertexId n = pg_->graph().num_vertices();
   // Start-vertex draws come from a job-local generator and the per-walk
   // streams are keyed off (job seed, local walk id), so a job's walk output
-  // is bit-identical whether it runs alone or co-scheduled. The sequence is
-  // a pure function of the spec, so it is enumerated twice: once to size
-  // each partition's pending list exactly, once to fill it.
-  auto for_each_start = [&](auto&& fn) {
-    Xoshiro256 job_rng(spec.seed);
-    switch (spec.start_mode) {
-      case rw::StartMode::kAllVertices:
-        for (VertexId v = 0; v < n; ++v) fn(v);
-        break;
-      case rw::StartMode::kUniformRandom:
-        for (std::uint64_t i = 0; i < spec.num_walks; ++i) fn(job_rng.bounded(n));
-        break;
-      case rw::StartMode::kSingleSource:
-        for (std::uint64_t i = 0; i < spec.num_walks; ++i) fn(spec.source);
-        break;
-    }
-  };
-  std::vector<std::uint64_t> starts(pg_->num_partitions(), 0);
-  for_each_start(
-      [&](VertexId v) { ++starts[pg_->partition_of(pg_->subgraph_of(v))]; });
-  for (PartitionId p = 0; p < starts.size(); ++p) {
-    if (starts[p] > 0 && owns_partition(p)) {
-      pending_[p].reserve(pending_[p].size() + starts[p]);
-    }
-  }
-
+  // is bit-identical whether it runs alone or co-scheduled.
   std::uint32_t local = 0;
   auto start_walk = [&](VertexId v) {
     const std::uint32_t idx = local++;
@@ -401,7 +376,18 @@ void FlashWalkerEngine::admit_job(std::uint16_t j) {
     pending_[part].push_back(w);
   };
 
-  for_each_start(start_walk);
+  Xoshiro256 job_rng(spec.seed);
+  switch (spec.start_mode) {
+    case rw::StartMode::kAllVertices:
+      for (VertexId v = 0; v < n; ++v) start_walk(v);
+      break;
+    case rw::StartMode::kUniformRandom:
+      for (std::uint64_t i = 0; i < spec.num_walks; ++i) start_walk(job_rng.bounded(n));
+      break;
+    case rw::StartMode::kSingleSource:
+      for (std::uint64_t i = 0; i < spec.num_walks; ++i) start_walk(spec.source);
+      break;
+  }
   jc.started = local;
   if (jc.expected == 0) {
     // Standalone: the empty job completes on the spot. Array-attached: the
@@ -470,10 +456,8 @@ void FlashWalkerEngine::inject_admitted_walks() {
   // directly; the rest wait in pending_ for their partition's turn.
   auto& cur = pending_[current_partition_];
   if (!cur.empty()) {
-    auto walks = std::move(cur);
-    cur.clear();
-    active_walks_ += walks.size();
-    enqueue_board(std::move(walks));
+    active_walks_ += cur.size();
+    enqueue_board(std::move(cur));
   } else {
     maybe_switch_partition();
   }
@@ -552,8 +536,7 @@ void FlashWalkerEngine::begin_partition(PartitionId p, bool charge_io) {
   // flight — active_walks_ gates maybe_switch_partition).
   ++partition_epoch_;
 
-  auto walks = std::move(pending_[p]);
-  pending_[p].clear();
+  Fifo<rw::Walk>& walks = pending_[p];
   if (walks.empty()) return;
   active_walks_ += walks.size();
 
@@ -1657,6 +1640,11 @@ void FlashWalkerEngine::apply_board_batch(std::vector<BoardOp> ops) {
 
 void FlashWalkerEngine::enqueue_board(std::vector<rw::Walk> walks) {
   sinks_[kBoardShard].walk_pool.release(board_.guide.append(std::move(walks)));
+  kick_board_guider();
+}
+
+void FlashWalkerEngine::enqueue_board(Fifo<rw::Walk>&& walks) {
+  board_.guide.splice(std::move(walks));
   kick_board_guider();
 }
 

@@ -330,8 +330,8 @@ class FlashWalkerEngine {
 
   struct BoardState {
     std::vector<LoadedSg> hot;
-    /// Guide buffer. A batch that arrives while it is empty (a job's whole
-    /// admission, a partition's pending list) is adopted, not copied.
+    /// Guide buffer. Arriving batches and partitions' pending lists join
+    /// it as chunks, without a copy, and each chunk is freed as it drains.
     Fifo<rw::Walk> guide;
     sim::SerialResource guider_unit;
     sim::SerialResource updater_unit;
@@ -511,6 +511,8 @@ class FlashWalkerEngine {
 
   // --- board level (board shard) -----------------------------------------
   void enqueue_board(std::vector<rw::Walk> walks);
+  /// A partition's pending list joins the guide buffer chunk by chunk.
+  void enqueue_board(Fifo<rw::Walk>&& walks);
   void kick_board_guider();
   void process_board_guider();
   void kick_board_updater();
@@ -684,7 +686,7 @@ class FlashWalkerEngine {
   std::vector<std::vector<rw::Walk>> pwb_walks_;   // per subgraph (current partition)
   std::vector<std::uint32_t> pwb_wc_bytes_;        // write-combining residue per entry
   std::vector<std::vector<rw::Walk>> fl_walks_;    // per subgraph, resident in flash
-  std::vector<std::vector<rw::Walk>> pending_;     // per partition (foreign / future)
+  std::vector<Fifo<rw::Walk>> pending_;            // per partition (foreign / future)
 
   // Job table (always at least the implicit job 0), in submission order.
   std::vector<JobRt> jobs_;

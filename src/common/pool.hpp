@@ -4,13 +4,14 @@
 // through short-lived std::vectors: every roving pull, board batch, and
 // subgraph load used to allocate a fresh vector and drop it one event
 // later. VectorPool recycles those buffers — acquire() hands back an empty
-// vector that keeps its previous capacity, release() returns it — so
-// steady-state simulation performs no allocator traffic for batch vectors.
+// vector that keeps its previous capacity, release() returns it — so most
+// batch vectors cost no allocator traffic. The exception is a batch the
+// board's guide buffer adopts (common/fifo.hpp): it is freed once drained.
 //
 // Pools keep buffers at batch scale only. A buffer released with room for
-// more than kMaxCapacity elements (a job's whole admitted walk list, a long
-// flash-resident list) is freed, not kept: pooling it would pin that memory
-// for the rest of the run to save one allocation.
+// more than kMaxCapacity elements (a long flash-resident list) is freed, not
+// kept: pooling it would pin that memory for the rest of the run to save one
+// allocation.
 //
 // Not thread-safe by design: pools are owned per shard — each DES shard
 // keeps its own VectorPool and only that shard's worker touches it (see

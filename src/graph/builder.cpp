@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/fork_join.hpp"
 
@@ -58,32 +59,43 @@ CsrGraph build_weighted(VertexId num_vertices, std::vector<Edge> edges,
   return CsrGraph(std::move(offsets), std::move(targets), std::move(weights));
 }
 
+VertexId src_of(const Edge& e) { return e.src; }
+VertexId dst_of(const Edge& e) { return e.dst; }
+VertexId src_of(EdgeWord e) { return e.src(); }
+VertexId dst_of(EdgeWord e) { return e.dst(); }
+
 /// Counting sort on source, then each neighbor list sorted on its own.
 /// Once weights are dropped, records with equal (src, dst) cannot be told
-/// apart, so this yields the bytes a comparator sort over (src, dst) does.
-CsrGraph build_unweighted(VertexId num_vertices, std::vector<Edge> edges,
+/// apart, so this yields the bytes a comparator sort over (src, dst) does,
+/// whichever form the edges come in.
+template <typename E>
+CsrGraph build_unweighted(VertexId num_vertices, std::vector<E> edges,
                           const BuildOptions& opts) {
-  const auto dropped = [&opts](const Edge& e) {
-    return opts.drop_self_loops && e.src == e.dst;
+  const auto dropped = [&opts](const E& e) {
+    return opts.drop_self_loops && src_of(e) == dst_of(e);
   };
 
   std::vector<EdgeId> offsets(num_vertices + 1, 0);
-  for (const Edge& e : edges) {
+  for (const E& e : edges) {
+    // An Edge was checked when the builder took it; words arrive unchecked.
+    if constexpr (std::is_same_v<E, EdgeWord>) {
+      check_endpoints(num_vertices, src_of(e), dst_of(e));
+    }
     if (dropped(e)) continue;
-    ++offsets[e.src + 1];
-    if (opts.symmetrize) ++offsets[e.dst + 1];
+    ++offsets[src_of(e) + 1];
+    if (opts.symmetrize) ++offsets[dst_of(e) + 1];
   }
   std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
 
   // offsets[v] doubles as v's fill cursor; once every edge is placed it
   // holds v's end, and shifting the array up one slot restores the starts.
   std::vector<VertexId> targets(offsets.back());
-  for (const Edge& e : edges) {
+  for (const E& e : edges) {
     if (dropped(e)) continue;
-    targets[offsets[e.src]++] = e.dst;
-    if (opts.symmetrize) targets[offsets[e.dst]++] = e.src;
+    targets[offsets[src_of(e)]++] = dst_of(e);
+    if (opts.symmetrize) targets[offsets[dst_of(e)]++] = src_of(e);
   }
-  std::vector<Edge>().swap(edges);
+  std::vector<E>().swap(edges);
   std::copy_backward(offsets.begin(), offsets.end() - 1, offsets.end());
   offsets[0] = 0;
 
@@ -123,6 +135,14 @@ CsrGraph build_unweighted(VertexId num_vertices, std::vector<Edge> edges,
 }
 
 }  // namespace
+
+CsrGraph build_unweighted_csr(VertexId num_vertices, std::vector<EdgeWord> edges,
+                              const BuildOptions& opts) {
+  if (opts.keep_weights) {
+    throw std::invalid_argument("build_unweighted_csr: edge words carry no weights");
+  }
+  return build_unweighted(num_vertices, std::move(edges), opts);
+}
 
 GraphBuilder::GraphBuilder(VertexId num_vertices, std::vector<Edge> edges)
     : num_vertices_(num_vertices), edges_(std::move(edges)) {

@@ -1,6 +1,7 @@
 // Edge-list → CSR construction.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -17,12 +18,40 @@ struct Edge {
   friend bool operator==(const Edge&, const Edge&) = default;
 };
 
+/// An unweighted edge in one 8-byte word, a third of an Edge: the source in
+/// the high 32 bits, the destination in the low 32. Both endpoints must be
+/// below kMaxVertices.
+class EdgeWord {
+ public:
+  static constexpr VertexId kMaxVertices = VertexId{1} << 32;
+
+  EdgeWord() = default;
+  constexpr EdgeWord(VertexId src, VertexId dst) : bits_((src << 32) | dst) {
+    assert(src < kMaxVertices && dst < kMaxVertices);
+  }
+  [[nodiscard]] constexpr VertexId src() const { return bits_ >> 32; }
+  [[nodiscard]] constexpr VertexId dst() const { return bits_ & (kMaxVertices - 1); }
+
+  friend bool operator==(EdgeWord, EdgeWord) = default;
+
+ private:
+  std::uint64_t bits_ = 0;
+};
+
 struct BuildOptions {
   bool deduplicate = false;       ///< drop parallel edges (keep first weight)
   bool drop_self_loops = false;   ///< drop (v, v)
   bool symmetrize = false;        ///< add reverse edge for every edge
   bool keep_weights = false;      ///< emit a weighted CsrGraph
 };
+
+/// Builds an unweighted CSR straight from edge words, with the bucket
+/// routine GraphBuilder::build uses for unweighted graphs: the bytes equal
+/// those of GraphBuilder(num_vertices, edges).build(opts) for the same
+/// edges. Endpoints outside the vertex space throw std::out_of_range, and
+/// opts.keep_weights throws std::invalid_argument: words carry no weights.
+CsrGraph build_unweighted_csr(VertexId num_vertices, std::vector<EdgeWord> edges,
+                              const BuildOptions& opts = {});
 
 class GraphBuilder {
  public:

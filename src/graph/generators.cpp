@@ -4,6 +4,9 @@
 #include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
+#include <utility>
 
 #include "common/fork_join.hpp"
 
@@ -17,26 +20,64 @@ VertexId round_up_pow2(VertexId v) {
 /// Below this many edges per thread, R-MAT generation stays serial.
 constexpr EdgeId kMinEdgesPerThread = 1 << 14;
 
+/// How far a + b + c may pass 1 by rounding alone: 0.56 + 0.34 + 0.1 does.
+constexpr double kProbabilitySlack = 1e-9;
+
 float random_weight(Xoshiro256& rng) {
   // Weights in (0, 1]; strictly positive so ITS cumulative sums are monotone.
   return static_cast<float>(1.0 - rng.uniform() * (1.0 - 1e-6));
 }
 
-}  // namespace
+/// The vertex count R-MAT rounds `p` up to, once every field that could
+/// silently build a different graph has been rejected.
+VertexId checked_rmat_vertices(const RmatParams& p) {
+  const auto reject = [](const char* field, const std::string& value, const char* rule) {
+    const std::string what = std::string("RmatParams.") + field + " = " + value;
+    throw std::invalid_argument(what + ": " + rule);
+  };
+  const std::pair<const char*, double> quadrants[] = {{"a", p.a}, {"b", p.b}, {"c", p.c}};
+  for (const auto& [field, value] : quadrants) {
+    if (!(value >= 0.0)) reject(field, std::to_string(value), "must be non-negative");
+  }
+  if (p.a + p.b + p.c > 1.0 + kProbabilitySlack) {
+    reject("a + b + c", std::to_string(p.a + p.b + p.c),
+           "must not exceed 1, or d = 1 - a - b - c is negative and never drawn");
+  }
+  // Past 2, a quadrant's weight a * (1 + noise * (u - 0.5)) can go negative.
+  if (!(p.noise >= 0.0 && p.noise <= 2.0)) {
+    reject("noise", std::to_string(p.noise), "must lie in [0, 2]");
+  }
+  if (p.num_vertices > EdgeWord::kMaxVertices) {
+    reject("num_vertices", std::to_string(p.num_vertices),
+           "endpoints must fit the 32-bit halves of an edge word");
+  }
+  return round_up_pow2(p.num_vertices);
+}
 
-std::vector<Edge> rmat_edges(const RmatParams& params, unsigned threads) {
-  const VertexId n = round_up_pow2(params.num_vertices);
+/// The one R-MAT draw loop. Every edge takes the same draws, five per
+/// level, then `make(src, dst, rng)` forms the output record: a weighted
+/// Edge draws its weight from the same stream, an unweighted EdgeWord has
+/// none. Each record type serves one kind of graph, so params of the other
+/// kind throw.
+template <typename Out, typename Make>
+std::vector<Out> draw_rmat(const RmatParams& params, unsigned threads, const Make& make) {
+  constexpr bool kWeighted = std::is_same_v<Out, Edge>;
+  const VertexId n = checked_rmat_vertices(params);
+  if (params.weighted != kWeighted) {
+    throw std::invalid_argument(kWeighted
+                                    ? "rmat_edges: unweighted params need rmat_edge_words"
+                                    : "rmat_edge_words: weighted params need rmat_edges");
+  }
   const int levels = std::countr_zero(n);
   const EdgeId m = params.num_edges;
-  // Every edge takes the same draws: five per level, plus its weight.
   const std::uint64_t draws_per_edge =
-      5 * static_cast<std::uint64_t>(levels) + (params.weighted ? 1 : 0);
+      5 * static_cast<std::uint64_t>(levels) + (kWeighted ? 1 : 0);
   if (threads == 0) threads = host_threads(m, kMinEdgesPerThread);
   threads = static_cast<unsigned>(std::clamp<EdgeId>(threads, 1, std::max<EdgeId>(m, 1)));
 
   const Xoshiro256 seed_stream(params.seed);
-  const double d = 1.0 - params.a - params.b - params.c;
-  std::vector<Edge> edges(m);
+  const double d = std::max(0.0, 1.0 - params.a - params.b - params.c);
+  std::vector<Out> edges(m);
   fork_join(threads, [&](unsigned t) {
     const EdgeId begin = range_begin(m, threads, t);
     const EdgeId end = range_begin(m, threads, t + 1);
@@ -63,16 +104,36 @@ std::vector<Edge> rmat_edges(const RmatParams& params, unsigned threads) {
         src = (src << 1) | (quadrant >> 1);
         dst = (dst << 1) | (quadrant & 1);
       }
-      edges[e] = Edge{src, dst, params.weighted ? random_weight(rng) : 1.0f};
+      edges[e] = make(src, dst, rng);
     }
   });
   return edges;
 }
 
+}  // namespace
+
+std::vector<Edge> rmat_edges(const RmatParams& params, unsigned threads) {
+  const auto edge = [](VertexId src, VertexId dst, Xoshiro256& rng) {
+    return Edge{src, dst, random_weight(rng)};
+  };
+  return draw_rmat<Edge>(params, threads, edge);
+}
+
+std::vector<EdgeWord> rmat_edge_words(const RmatParams& params, unsigned threads) {
+  const auto word = [](VertexId src, VertexId dst, Xoshiro256&) {
+    return EdgeWord(src, dst);
+  };
+  return draw_rmat<EdgeWord>(params, threads, word);
+}
+
 CsrGraph generate_rmat(const RmatParams& params) {
+  const VertexId n = checked_rmat_vertices(params);
+  if (!params.weighted) return build_unweighted_csr(n, rmat_edge_words(params));
+  // Weighted lists keep the comparator sort: it alone fixes the pinned order
+  // of parallel edges' weights.
   BuildOptions opts;
-  opts.keep_weights = params.weighted;
-  return GraphBuilder(round_up_pow2(params.num_vertices), rmat_edges(params)).build(opts);
+  opts.keep_weights = true;
+  return GraphBuilder(n, rmat_edges(params)).build(opts);
 }
 
 CsrGraph generate_erdos_renyi(const ErdosRenyiParams& params) {

@@ -28,14 +28,30 @@ struct RmatParams {
 
 /// Recursive-matrix (R-MAT) generator à la PaRMAT/Graph500. Runs on
 /// hardware threads; the graph does not depend on how many (rmat_edges).
+/// An unweighted graph is built from 8-byte edge words (rmat_edge_words),
+/// at 8 B per edge beside the CSR; a weighted one from the 24-byte edge
+/// list (rmat_edges).
+///
+/// Parameters that would silently build a different graph throw
+/// std::invalid_argument naming the field: a, b or c negative (or NaN),
+/// a + b + c above 1 (d = 1 - a - b - c negative), noise outside [0, 2]
+/// (a perturbed quadrant weight could go negative), and more than 2^32
+/// vertices (endpoints must fit an EdgeWord). rmat_edges and
+/// rmat_edge_words check the same.
 CsrGraph generate_rmat(const RmatParams& params);
 
-/// The edges generate_rmat builds its graph from, in generation order.
-/// Every edge takes the same number of draws, so `threads` workers (0: one
-/// per 16Ki edges, at most hardware_concurrency()) each fill a contiguous
-/// range from a copy of the seed's stream advanced to that range's first
-/// draw. The list equals a one-thread pass over the stream for any count.
+/// The edges generate_rmat builds a weighted graph from, in generation
+/// order. Every edge takes the same number of draws, so `threads` workers
+/// (0: one per 16Ki edges, at most hardware_concurrency()) each fill a
+/// contiguous range from a copy of the seed's stream advanced to that
+/// range's first draw. The list equals a one-thread pass over the stream
+/// for any count. Unweighted params throw std::invalid_argument.
 std::vector<Edge> rmat_edges(const RmatParams& params, unsigned threads = 0);
+
+/// The same for an unweighted graph, one EdgeWord per edge: the same draws
+/// less the weight, a third of the bytes. Weighted params throw
+/// std::invalid_argument.
+std::vector<EdgeWord> rmat_edge_words(const RmatParams& params, unsigned threads = 0);
 
 struct ErdosRenyiParams {
   VertexId num_vertices = 1 << 14;

@@ -151,9 +151,12 @@ TEST(SplitMix, KnownSequenceIsStable) {
 // --- Fifo / VectorPool --------------------------------------------------------
 
 TEST(Fifo, MatchesDequeUnderInterleavedPushPopAndBatches) {
-  // A std::deque is the model. Random pushes, pops and batch appends (small
-  // ones into a busy queue, large ones into an empty queue) drive both
-  // through adoption, appending and many compactions.
+  // A std::deque is the model. Random pushes, pops (now and then a run long
+  // enough to drain the queue), batch appends (small and large, into a busy
+  // queue or an empty one) and splices of a second Fifo, itself part-popped
+  // and at times several chunks long, drive both through adoption, chunk
+  // rollover and chunks freed mid-queue.
+  constexpr std::uint64_t kChunk = Fifo<std::uint64_t>::kChunkElems;
   Fifo<std::uint64_t> q;
   std::deque<std::uint64_t> model;
   Xoshiro256 rng(17);
@@ -163,19 +166,48 @@ TEST(Fifo, MatchesDequeUnderInterleavedPushPopAndBatches) {
     if (r < 45) {
       q.push_back(next);
       model.push_back(next++);
-    } else if (r < 97) {
-      if (model.empty()) continue;
-      ASSERT_EQ(q.front(), model.front());
-      q.pop_front();
-      model.pop_front();
-    } else {
-      std::vector<std::uint64_t> batch(rng.bounded(r == 99 ? 5000 : 100));
+    } else if (r < 96) {
+      const bool drain = r == 95 && rng.bounded(4) == 0;
+      const std::uint64_t run = 1 + rng.bounded(drain ? 4 * kChunk : 4);
+      for (std::uint64_t n = 0; n < run && !model.empty(); ++n) {
+        ASSERT_EQ(q.front(), model.front());
+        q.pop_front();
+        model.pop_front();
+      }
+    } else if (r < 98) {
+      std::vector<std::uint64_t> batch(rng.bounded(r == 97 ? 5000 : 100));
       for (auto& v : batch) {
         v = next++;
         model.push_back(v);
       }
       const std::vector<std::uint64_t> spare = q.append(std::move(batch));
       ASSERT_TRUE(spare.empty());
+    } else {
+      // A second queue built from pushes and an adopted batch, with a few
+      // of its own elements popped first, then spliced on whole.
+      Fifo<std::uint64_t> other;
+      std::deque<std::uint64_t> other_model;
+      const bool long_one = r == 99 && rng.bounded(8) == 0;
+      const std::uint64_t pushes = rng.bounded(long_one ? 3 * kChunk : 50);
+      for (std::uint64_t i = 0; i < pushes; ++i) {
+        other.push_back(next);
+        other_model.push_back(next++);
+      }
+      std::vector<std::uint64_t> batch(rng.bounded(100));
+      for (auto& v : batch) {
+        v = next++;
+        other_model.push_back(v);
+      }
+      ASSERT_TRUE(other.append(std::move(batch)).empty());
+      const std::uint64_t pops = rng.bounded(3);
+      for (std::uint64_t i = 0; i < pops && !other_model.empty(); ++i) {
+        ASSERT_EQ(other.front(), other_model.front());
+        other.pop_front();
+        other_model.pop_front();
+      }
+      q.splice(std::move(other));
+      model.insert(model.end(), other_model.begin(), other_model.end());
+      ASSERT_TRUE(other.empty());
     }
     ASSERT_EQ(q.size(), model.size());
     ASSERT_EQ(q.empty(), model.empty());
@@ -194,14 +226,14 @@ TEST(Fifo, MatchesDequeUnderInterleavedPushPopAndBatches) {
 TEST(Fifo, EmptyQueueAdoptsBatchWithoutCopying) {
   Fifo<int> q;
   q.push_back(1);
-  q.pop_front();  // empty again, with a buffer of its own
+  q.pop_front();  // empty again; its drained chunk is freed
   std::vector<int> batch{10, 11, 12};
   const int* data = batch.data();
   const std::vector<int> spare = q.append(std::move(batch));
   EXPECT_EQ(&q.front(), data);  // the batch's buffer, not a copy
   EXPECT_TRUE(spare.empty());
-  EXPECT_GE(spare.capacity(), 1u);  // the queue's old buffer comes back
-  // A busy queue copies the batch in behind what it holds.
+  EXPECT_EQ(spare.capacity(), 0u);  // the adopted batch leaves no buffer behind
+  // A busy queue adopts the batch too, behind what it holds.
   std::vector<int> more{13, 14};
   const std::vector<int> drained = q.append(std::move(more));
   EXPECT_TRUE(drained.empty());

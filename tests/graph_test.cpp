@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
@@ -171,10 +172,98 @@ TEST(Rmat, WeightedEmitsPositiveWeights) {
   EXPECT_TRUE(g.validate().empty());  // validate() checks weight positivity
 }
 
+// Parameters that would silently build a different graph are refused, with
+// the offending field named, while the edges of the valid range still
+// generate.
+TEST(Rmat, RejectsParametersThatBuildADifferentGraph) {
+  // Each edge-list entry point serves one kind of graph: rmat_edges the
+  // weighted, rmat_edge_words the unweighted.
+  const auto expect_rejected = [](RmatParams p, const std::string& field) {
+    for (int entry = 0; entry < 3; ++entry) {
+      try {
+        if (entry == 0) {
+          (void)generate_rmat(p);
+        } else if (entry == 1) {
+          p.weighted = true;
+          (void)rmat_edges(p);
+        } else {
+          p.weighted = false;
+          (void)rmat_edge_words(p);
+        }
+        ADD_FAILURE() << field << ": accepted by entry point " << entry;
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("RmatParams." + field + " = "), std::string::npos) << what;
+      }
+    }
+  };
+  RmatParams base;
+  base.num_vertices = 64;
+  base.num_edges = 256;
+
+  RmatParams p = base;
+  p.a = -0.1;
+  expect_rejected(p, "a");
+  p = base;
+  p.b = -0.01;
+  expect_rejected(p, "b");
+  p = base;
+  p.c = std::nan("");
+  expect_rejected(p, "c");
+  p = base;
+  p.a = 0.6;
+  p.b = 0.3;
+  p.c = 0.2;  // d = -0.1: the bottom-right quadrant could never be drawn
+  expect_rejected(p, "a + b + c");
+  p = base;
+  p.noise = 2.01;  // 1 + noise * (u - 0.5) reaches below 0
+  expect_rejected(p, "noise");
+  p = base;
+  p.noise = -0.5;
+  expect_rejected(p, "noise");
+  p = base;
+  p.num_vertices = EdgeWord::kMaxVertices + 1;  // endpoints past 32 bits
+  expect_rejected(p, "num_vertices");
+  p.weighted = true;
+  expect_rejected(p, "num_vertices");
+
+  // The boundaries are valid: noise 0 and 2, d = 0, and sums that pass 1
+  // only by rounding.
+  for (const double noise : {0.0, 2.0}) {
+    p = base;
+    p.noise = noise;
+    EXPECT_EQ(generate_rmat(p).num_edges(), 256u) << "noise " << noise;
+  }
+  p = base;
+  p.a = 0.5;
+  p.b = 0.25;
+  p.c = 0.25;
+  const CsrGraph no_d = generate_rmat(p);
+  for (VertexId v = 0; v < no_d.num_vertices(); ++v) {
+    for (const VertexId u : no_d.neighbors(v)) {
+      EXPECT_EQ(v & u, 0u) << "edge " << v << "->" << u << " drawn from quadrant d";
+    }
+  }
+  p.a = 0.56;
+  p.b = 0.34;
+  p.c = 0.1;
+  ASSERT_GT(p.a + p.b + p.c, 1.0);  // by rounding, not a real excess
+  EXPECT_EQ(generate_rmat(p).num_edges(), 256u);
+  p = base;
+  p.num_vertices = EdgeWord::kMaxVertices;
+  p.num_edges = 4;
+  EXPECT_EQ(rmat_edge_words(p).size(), 4u);
+  EXPECT_THROW((void)rmat_edges(p), std::invalid_argument);
+  p.weighted = true;
+  EXPECT_EQ(rmat_edges(p).size(), 4u);
+  EXPECT_THROW((void)rmat_edge_words(p), std::invalid_argument);
+}
+
 // --- R-MAT and the builder against a serial reference ------------------------
 
 // The R-MAT generator as a plain serial loop: one stream, edges in order,
-// the quadrant picked by an if/else chain. The oracle for rmat_edges.
+// the quadrant picked by an if/else chain. The oracle for rmat_edges and
+// rmat_edge_words.
 std::vector<Edge> serial_rmat_edges(const RmatParams& params) {
   const VertexId n = params.num_vertices <= 1 ? 1 : std::bit_ceil(params.num_vertices);
   const int levels = std::countr_zero(n);
@@ -208,6 +297,12 @@ std::vector<Edge> serial_rmat_edges(const RmatParams& params) {
     edges.push_back(Edge{src, dst, weight});
   }
   return edges;
+}
+
+std::vector<EdgeWord> edge_words(const std::vector<Edge>& edges) {
+  std::vector<EdgeWord> words;
+  for (const Edge& e : edges) words.emplace_back(e.src, e.dst);
+  return words;
 }
 
 // The CSR build as one comparator sort over all edges, whatever the
@@ -281,7 +376,9 @@ TEST_P(RmatOracle, ParallelGenerationAndBuildMatchSerialReference) {
                                " noise=" + std::to_string(noise);
       const std::vector<Edge> want = serial_rmat_edges(p);
       for (const unsigned threads : thread_counts) {
-        EXPECT_TRUE(rmat_edges(p, threads) == want) << what << " threads=" << threads;
+        EXPECT_TRUE(weighted ? rmat_edges(p, threads) == want
+                             : rmat_edge_words(p, threads) == edge_words(want))
+            << what << " threads=" << threads;
       }
       BuildOptions opts;
       opts.keep_weights = weighted;
@@ -323,6 +420,29 @@ TEST(Builder, EveryOptionMatchesComparatorSort) {
       expect_same_csr(std::move(one_by_one).build(opts), want, what + " add_edge");
     }
   }
+}
+
+TEST(Builder, EdgeWordsBuildWhatTheEdgeListBuilds) {
+  RmatParams p;
+  p.num_vertices = 1000;
+  p.num_edges = 65'537;
+  p.seed = 6;
+  const std::vector<Edge> edges = serial_rmat_edges(p);
+  for (int mask = 0; mask < 8; ++mask) {
+    BuildOptions opts;
+    opts.deduplicate = (mask & 1) != 0;
+    opts.drop_self_loops = (mask & 2) != 0;
+    opts.symmetrize = (mask & 4) != 0;
+    const std::string what = "options=" + std::to_string(mask);
+    expect_same_csr(build_unweighted_csr(1030, edge_words(edges), opts),
+                    comparator_sort_build(1030, edges, opts), what);
+  }
+  BuildOptions weighted;
+  weighted.keep_weights = true;
+  EXPECT_THROW(build_unweighted_csr(1030, edge_words(edges), weighted),
+               std::invalid_argument);
+  EXPECT_THROW(build_unweighted_csr(2, {EdgeWord(0, 1), EdgeWord(1, 2)}),
+               std::out_of_range);
 }
 
 TEST(Builder, EdgeListConstructorRejectsOutOfRangeEndpoint) {
