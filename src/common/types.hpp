@@ -6,9 +6,10 @@
 
 namespace fw {
 
-/// Vertex identifier. 64-bit because ClueWeb-class graphs exceed the 4-byte
-/// ID range (paper §IV.A); graphs that fit in 32 bits record that in their
-/// metadata so storage-size accounting can use 4-byte IDs.
+/// Vertex identifier. 64-bit in the API because ClueWeb-class graphs exceed
+/// the 4-byte ID range (paper §IV.A); storage-size accounting charges 4-byte
+/// IDs to graphs that fit in 32 bits. The host CSR stores neighbor IDs in
+/// 4 bytes, so graphs built here have at most 2^32 vertices.
 using VertexId = std::uint64_t;
 
 /// Index into a CSR edges array.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 
 #include "common/fork_join.hpp"
@@ -14,9 +15,12 @@ namespace {
 constexpr std::uint64_t kMinEdgesPerThread = 1 << 14;
 
 void check_endpoints(VertexId num_vertices, VertexId src, VertexId dst) {
-  if (src >= num_vertices || dst >= num_vertices) {
-    throw std::out_of_range("GraphBuilder: edge endpoint outside vertex space");
-  }
+  if (src < num_vertices && dst < num_vertices) return;
+  const VertexId bad = src >= num_vertices ? src : dst;
+  throw std::out_of_range("GraphBuilder: endpoint " + std::to_string(bad) + " of edge (" +
+                          std::to_string(src) + ", " + std::to_string(dst) +
+                          ") is not below the vertex count " +
+                          std::to_string(num_vertices));
 }
 
 /// Comparator sort over whole records: std::sort is not stable, so this
@@ -50,10 +54,10 @@ CsrGraph build_weighted(VertexId num_vertices, std::vector<Edge> edges,
   for (const Edge& e : edges) ++offsets[e.src + 1];
   for (std::size_t v = 1; v < offsets.size(); ++v) offsets[v] += offsets[v - 1];
 
-  std::vector<VertexId> targets(edges.size());
+  std::vector<NeighborId> targets(edges.size());
   std::vector<float> weights(edges.size());
   for (std::size_t i = 0; i < edges.size(); ++i) {
-    targets[i] = edges[i].dst;
+    targets[i] = static_cast<NeighborId>(edges[i].dst);
     weights[i] = edges[i].weight;
   }
   return CsrGraph(std::move(offsets), std::move(targets), std::move(weights));
@@ -89,11 +93,13 @@ CsrGraph build_unweighted(VertexId num_vertices, std::vector<E> edges,
 
   // offsets[v] doubles as v's fill cursor; once every edge is placed it
   // holds v's end, and shifting the array up one slot restores the starts.
-  std::vector<VertexId> targets(offsets.back());
+  std::vector<NeighborId> targets(offsets.back());
   for (const E& e : edges) {
     if (dropped(e)) continue;
-    targets[offsets[src_of(e)]++] = dst_of(e);
-    if (opts.symmetrize) targets[offsets[dst_of(e)]++] = src_of(e);
+    targets[offsets[src_of(e)]++] = static_cast<NeighborId>(dst_of(e));
+    if (opts.symmetrize) {
+      targets[offsets[dst_of(e)]++] = static_cast<NeighborId>(src_of(e));
+    }
   }
   std::vector<E>().swap(edges);
   std::copy_backward(offsets.begin(), offsets.end() - 1, offsets.end());
@@ -141,11 +147,17 @@ CsrGraph build_unweighted_csr(VertexId num_vertices, std::vector<EdgeWord> edges
   if (opts.keep_weights) {
     throw std::invalid_argument("build_unweighted_csr: edge words carry no weights");
   }
+  check_vertex_count(num_vertices, "build_unweighted_csr");
   return build_unweighted(num_vertices, std::move(edges), opts);
 }
 
+GraphBuilder::GraphBuilder(VertexId num_vertices) : num_vertices_(num_vertices) {
+  check_vertex_count(num_vertices_, "GraphBuilder");
+}
+
 GraphBuilder::GraphBuilder(VertexId num_vertices, std::vector<Edge> edges)
-    : num_vertices_(num_vertices), edges_(std::move(edges)) {
+    : GraphBuilder(num_vertices) {
+  edges_ = std::move(edges);
   for (const Edge& e : edges_) check_endpoints(num_vertices_, e.src, e.dst);
 }
 

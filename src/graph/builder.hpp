@@ -20,10 +20,10 @@ struct Edge {
 
 /// An unweighted edge in one 8-byte word, a third of an Edge: the source in
 /// the high 32 bits, the destination in the low 32. Both endpoints must be
-/// below kMaxVertices.
+/// below kMaxVertices, as in any CsrGraph.
 class EdgeWord {
  public:
-  static constexpr VertexId kMaxVertices = VertexId{1} << 32;
+  static constexpr VertexId kMaxVertices = graph::kMaxVertices;
 
   EdgeWord() = default;
   constexpr EdgeWord(VertexId src, VertexId dst) : bits_((src << 32) | dst) {
@@ -48,16 +48,18 @@ struct BuildOptions {
 /// Builds an unweighted CSR straight from edge words, with the bucket
 /// routine GraphBuilder::build uses for unweighted graphs: the bytes equal
 /// those of GraphBuilder(num_vertices, edges).build(opts) for the same
-/// edges. Endpoints outside the vertex space throw std::out_of_range, and
-/// opts.keep_weights throws std::invalid_argument: words carry no weights.
+/// edges. Endpoints outside the vertex space throw std::out_of_range;
+/// opts.keep_weights (words carry no weights) and more than kMaxVertices
+/// vertices throw std::invalid_argument.
 CsrGraph build_unweighted_csr(VertexId num_vertices, std::vector<EdgeWord> edges,
                               const BuildOptions& opts = {});
 
 class GraphBuilder {
  public:
   /// `num_vertices` fixes the ID space; edges referencing vertices outside
-  /// it throw.
-  explicit GraphBuilder(VertexId num_vertices) : num_vertices_(num_vertices) {}
+  /// it throw std::out_of_range, naming the endpoint and the vertex count.
+  /// More than kMaxVertices vertices throw std::invalid_argument.
+  explicit GraphBuilder(VertexId num_vertices);
 
   /// Takes a finished edge list whole, e.g. one a generator sized exactly;
   /// endpoints are checked as add_edge checks them.

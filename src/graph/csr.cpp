@@ -2,18 +2,43 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/rng.hpp"
 
 namespace fw::graph {
 
-CsrGraph::CsrGraph(std::vector<EdgeId> offsets, std::vector<VertexId> edges,
+void check_vertex_id(VertexId id, std::string_view where) {
+  if (id < kMaxVertices) return;
+  throw std::out_of_range(std::string(where) + ": vertex ID " + std::to_string(id) +
+                          " does not fit 32 bits (IDs must be below " +
+                          std::to_string(kMaxVertices) + ")");
+}
+
+void check_vertex_count(VertexId num_vertices, std::string_view where) {
+  if (num_vertices <= kMaxVertices) return;
+  throw std::invalid_argument(std::string(where) + ": " + std::to_string(num_vertices) +
+                              " vertices pass the 32-bit ID limit of " +
+                              std::to_string(kMaxVertices));
+}
+
+std::vector<NeighborId> CsrGraph::narrow(std::span<const VertexId> ids) {
+  std::vector<NeighborId> out(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    check_vertex_id(ids[i], "CsrGraph");
+    out[i] = static_cast<NeighborId>(ids[i]);
+  }
+  return out;
+}
+
+CsrGraph::CsrGraph(std::vector<EdgeId> offsets, std::vector<NeighborId> edges,
                    std::vector<float> weights)
     : offsets_(std::move(offsets)), edges_(std::move(edges)), weights_(std::move(weights)) {
   if (offsets_.empty()) {
     throw std::invalid_argument("CsrGraph: offsets must have at least one entry");
   }
+  check_vertex_count(offsets_.size() - 1, "CsrGraph");
   if (offsets_.back() != edges_.size()) {
     throw std::invalid_argument("CsrGraph: offsets.back() != edges.size()");
   }

@@ -1,25 +1,53 @@
 // Compressed Sparse Row graph — the storage format FlashWalker keeps in
 // flash (paper §III.B: "A subgraph is stored in CSR format, which contains
-// an offsets array and an edges array").
+// an offsets array and an edges array"). The host copy holds each neighbor
+// ID in the 4 bytes id_bytes() charges for it, half a VertexId, so a graph
+// has at most kMaxVertices vertices; reads widen to VertexId.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
 
 namespace fw::graph {
 
+/// How a CsrGraph stores a neighbor ID.
+using NeighborId = std::uint32_t;
+
+/// The vertex-count limit the 32-bit neighbor array sets: IDs lie below it.
+inline constexpr VertexId kMaxVertices = VertexId{1} << 32;
+
+/// Throws std::out_of_range naming `where`, `id` and kMaxVertices unless
+/// `id` fits a NeighborId.
+void check_vertex_id(VertexId id, std::string_view where);
+
+/// Throws std::invalid_argument naming `where`, `num_vertices` and
+/// kMaxVertices when the vertex count passes the limit.
+void check_vertex_count(VertexId num_vertices, std::string_view where);
+
 class CsrGraph {
  public:
   CsrGraph() = default;
 
   /// Takes ownership of pre-built CSR arrays. `offsets.size()` must be
-  /// `num_vertices + 1`; `weights` is empty (unweighted) or `edges.size()`.
-  CsrGraph(std::vector<EdgeId> offsets, std::vector<VertexId> edges,
+  /// `num_vertices + 1`, at most kMaxVertices + 1; `weights` is empty
+  /// (unweighted) or `edges.size()`.
+  CsrGraph(std::vector<EdgeId> offsets, std::vector<NeighborId> edges,
            std::vector<float> weights = {});
+
+  /// The same from 64-bit IDs, narrowed one by one: an ID at or past
+  /// kMaxVertices throws std::out_of_range. A template so that braced lists
+  /// pick the constructor above.
+  template <std::same_as<VertexId> Id>
+  CsrGraph(std::vector<EdgeId> offsets, const std::vector<Id>& edges,
+           std::vector<float> weights = {})
+      : CsrGraph(std::move(offsets), narrow(edges), std::move(weights)) {}
 
   [[nodiscard]] VertexId num_vertices() const {
     return offsets_.empty() ? 0 : static_cast<VertexId>(offsets_.size() - 1);
@@ -32,7 +60,7 @@ class CsrGraph {
   [[nodiscard]] EdgeId out_degree(VertexId v) const {
     return offsets_[v + 1] - offsets_[v];
   }
-  [[nodiscard]] std::span<const VertexId> neighbors(VertexId v) const {
+  [[nodiscard]] std::span<const NeighborId> neighbors(VertexId v) const {
     return {edges_.data() + offsets_[v], static_cast<std::size_t>(out_degree(v))};
   }
   [[nodiscard]] std::span<const float> edge_weights(VertexId v) const {
@@ -40,7 +68,7 @@ class CsrGraph {
   }
 
   [[nodiscard]] const std::vector<EdgeId>& offsets() const { return offsets_; }
-  [[nodiscard]] const std::vector<VertexId>& edges() const { return edges_; }
+  [[nodiscard]] const std::vector<NeighborId>& edges() const { return edges_; }
   [[nodiscard]] const std::vector<float>& weights() const { return weights_; }
 
   /// Optional per-vertex labels (heterogeneous graphs; metapath walks).
@@ -75,8 +103,10 @@ class CsrGraph {
   [[nodiscard]] std::string validate() const;
 
  private:
+  static std::vector<NeighborId> narrow(std::span<const VertexId> ids);
+
   std::vector<EdgeId> offsets_;        // num_vertices + 1, non-decreasing
-  std::vector<VertexId> edges_;        // neighbor lists, concatenated
+  std::vector<NeighborId> edges_;      // neighbor lists, concatenated
   std::vector<float> weights_;         // empty or parallel to edges_
   std::vector<std::uint8_t> labels_;   // empty or num_vertices
 };

@@ -137,6 +137,7 @@ CsrGraph generate_rmat(const RmatParams& params) {
 }
 
 CsrGraph generate_erdos_renyi(const ErdosRenyiParams& params) {
+  check_vertex_count(params.num_vertices, "ErdosRenyiParams.num_vertices");
   Xoshiro256 rng(params.seed);
   std::vector<Edge> edges;
   edges.reserve(params.num_edges);
@@ -172,6 +173,7 @@ CsrGraph generate_zipf(const ZipfParams& params) {
   if (n == 0 && params.num_edges > 0) {
     throw std::invalid_argument("generate_zipf: edges requested on zero vertices");
   }
+  check_vertex_count(n, "ZipfParams.num_vertices");
   Xoshiro256 rng(params.seed);
 
   // Out-degrees: Zipf over a random permutation of vertices so hubs are not

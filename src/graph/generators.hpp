@@ -60,7 +60,8 @@ struct ErdosRenyiParams {
   std::uint64_t seed = 1;
 };
 
-/// Uniform random (Erdős–Rényi G(n, m)) generator.
+/// Uniform random (Erdős–Rényi G(n, m)) generator. More than kMaxVertices
+/// vertices throw std::invalid_argument.
 CsrGraph generate_erdos_renyi(const ErdosRenyiParams& params);
 
 struct ZipfParams {
@@ -75,7 +76,7 @@ struct ZipfParams {
 /// Power-law out-degree graph with Zipf-distributed destination popularity;
 /// produces the skew (a few very dense vertices) that exercises dense-vertex
 /// splitting and pre-walking. Throws std::invalid_argument when edges are
-/// requested on zero vertices.
+/// requested on zero vertices or there are more than kMaxVertices.
 CsrGraph generate_zipf(const ZipfParams& params);
 
 /// Zipf destination sampler (shared with tests): returns a vertex with

@@ -1,6 +1,7 @@
 #include "graph/io.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -42,12 +43,44 @@ std::vector<T> read_vec(std::istream& is) {
   return v;
 }
 
+// FWGRAPH1 stores neighbor IDs as 8-byte VertexIds; they pass through a
+// block of this many at a time, so no 8-byte copy of the array is made.
+constexpr std::size_t kIdBlock = 4096;
+
+void write_ids(std::ostream& os, const std::vector<NeighborId>& ids) {
+  write_pod<std::uint64_t>(os, ids.size());
+  std::array<VertexId, kIdBlock> block{};
+  for (std::size_t i = 0; i < ids.size(); i += kIdBlock) {
+    const std::size_t n = std::min(kIdBlock, ids.size() - i);
+    std::copy_n(ids.begin() + static_cast<std::ptrdiff_t>(i), n, block.begin());
+    os.write(reinterpret_cast<const char*>(block.data()),
+             static_cast<std::streamsize>(n * sizeof(VertexId)));
+  }
+}
+
+std::vector<NeighborId> read_ids(std::istream& is) {
+  const auto count = read_pod<std::uint64_t>(is);
+  std::vector<NeighborId> ids(count);
+  std::array<VertexId, kIdBlock> block{};
+  for (std::size_t i = 0; i < ids.size(); i += kIdBlock) {
+    const std::size_t n = std::min(kIdBlock, ids.size() - i);
+    is.read(reinterpret_cast<char*>(block.data()),
+            static_cast<std::streamsize>(n * sizeof(VertexId)));
+    if (!is) throw std::runtime_error("graph binary: truncated array");
+    for (std::size_t j = 0; j < n; ++j) {
+      check_vertex_id(block[j], "graph binary");
+      ids[i + j] = static_cast<NeighborId>(block[j]);
+    }
+  }
+  return ids;
+}
+
 }  // namespace
 
 void save_binary(const CsrGraph& graph, std::ostream& os) {
   os.write(kMagic, sizeof(kMagic));
   write_vec(os, graph.offsets());
-  write_vec(os, graph.edges());
+  write_ids(os, graph.edges());
   write_vec(os, graph.weights());
   if (!os) throw std::runtime_error("graph binary: write failed");
 }
@@ -59,7 +92,7 @@ CsrGraph load_binary(std::istream& is) {
     throw std::runtime_error("graph binary: bad magic");
   }
   auto offsets = read_vec<EdgeId>(is);
-  auto edges = read_vec<VertexId>(is);
+  auto edges = read_ids(is);
   auto weights = read_vec<float>(is);
   return CsrGraph(std::move(offsets), std::move(edges), std::move(weights));
 }
@@ -107,6 +140,7 @@ CsrGraph load_edge_list(std::istream& is) {
     max_vertex = std::max({max_vertex, e.src, e.dst});
     edges.push_back(e);
   }
+  if (!edges.empty()) check_vertex_id(max_vertex, "edge list");
   BuildOptions opts;
   opts.keep_weights = weighted;
   const VertexId num_vertices = edges.empty() ? 0 : max_vertex + 1;

@@ -9,7 +9,9 @@
 
 namespace fw::graph {
 
-/// Binary container: magic, version, counts, then raw arrays.
+/// Binary container (FWGRAPH1): magic, then offsets, neighbor IDs and
+/// weights, each a count and the raw array; IDs are stored as 8-byte
+/// VertexIds. A stored ID of kMaxVertices or more throws std::out_of_range.
 void save_binary(const CsrGraph& graph, std::ostream& os);
 CsrGraph load_binary(std::istream& is);
 
@@ -17,6 +19,7 @@ void save_binary_file(const CsrGraph& graph, const std::string& path);
 CsrGraph load_binary_file(const std::string& path);
 
 /// "src dst [weight]\n" per line; '#'-prefixed comment lines are skipped.
+/// load_edge_list throws std::out_of_range on an ID of kMaxVertices or more.
 void save_edge_list(const CsrGraph& graph, std::ostream& os);
 CsrGraph load_edge_list(std::istream& is);
 

@@ -8,6 +8,7 @@
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdlib>
 #include <new>
 #include <vector>
@@ -27,15 +28,24 @@ namespace {
 /// replacements below are the only way to see what the FTL's containers
 /// allocate; array and nothrow forms forward here by default.
 std::atomic<std::uint64_t> g_new_bytes{0};
+
+/// Each block starts this far ahead of the pointer new hands out (keeping
+/// new's alignment), so delete frees a pointer malloc returned and never
+/// one that new did.
+constexpr std::size_t kHeader = alignof(std::max_align_t);
+
+void free_block(void* p) noexcept {
+  if (p != nullptr) std::free(static_cast<char*>(p) - kHeader);
+}
 }  // namespace
 
 void* operator new(std::size_t n) {
   g_new_bytes.fetch_add(n, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  if (void* base = std::malloc(n + kHeader)) return static_cast<char*>(base) + kHeader;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { free_block(p); }
+void operator delete(void* p, std::size_t) noexcept { free_block(p); }
 
 namespace fw::ssd {
 namespace {

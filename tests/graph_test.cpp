@@ -31,6 +31,25 @@ CsrGraph triangle() {
   return std::move(b).build();
 }
 
+// Past the 32 bits a CSR holds a neighbor ID in.
+constexpr VertexId kWideId = kMaxVertices + 5;
+const std::string kWideIdText = "4294967301";
+
+/// Expects `call` to throw Error with a message naming `value` and the
+/// 32-bit limit, 2^32.
+template <typename Error, typename Call>
+void expect_names_limit(const Call& call, const std::string& value,
+                        const std::string& what) {
+  try {
+    call();
+    ADD_FAILURE() << what << ": accepted " << value;
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(value), std::string::npos) << what << ": " << msg;
+    EXPECT_NE(msg.find("4294967296"), std::string::npos) << what << ": " << msg;
+  }
+}
+
 TEST(Csr, BasicAccessors) {
   const CsrGraph g = triangle();
   EXPECT_EQ(g.num_vertices(), 3u);
@@ -55,6 +74,16 @@ TEST(Csr, RejectsMalformedArrays) {
   EXPECT_THROW(CsrGraph({}, {}), std::invalid_argument);
   EXPECT_THROW(CsrGraph({0, 2}, {1}), std::invalid_argument);           // count mismatch
   EXPECT_THROW(CsrGraph({0, 1}, {0}, {1.0f, 2.0f}), std::invalid_argument);
+}
+
+TEST(Csr, WideConstructorNarrowsCheckedIds) {
+  // The largest ID that fits reads back whole; one past 32 bits is refused
+  // rather than truncated.
+  const CsrGraph g({0, 1}, std::vector<VertexId>{kMaxVertices - 1});
+  EXPECT_EQ(g.neighbors(0)[0], kMaxVertices - 1);
+  expect_names_limit<std::out_of_range>(
+      [] { (void)CsrGraph({0, 2}, std::vector<VertexId>{1, kWideId}); }, kWideIdText,
+      "CsrGraph");
 }
 
 TEST(Csr, ValidateCatchesOutOfRangeEdge) {
@@ -125,6 +154,27 @@ TEST(Builder, KeepsWeights) {
 TEST(Builder, RejectsOutOfRangeEndpoint) {
   GraphBuilder b(2);
   EXPECT_THROW(b.add_edge(0, 2), std::out_of_range);
+}
+
+TEST(Builder, RejectsVertexIdsPast32Bits) {
+  const std::string count = std::to_string(kMaxVertices + 1);
+  expect_names_limit<std::invalid_argument>(
+      [] { GraphBuilder b(kMaxVertices + 1); }, count, "GraphBuilder(n)");
+  expect_names_limit<std::invalid_argument>(
+      [] { GraphBuilder b(kMaxVertices + 1, {Edge{0, 1}}); }, count,
+      "GraphBuilder(n, edges)");
+  expect_names_limit<std::invalid_argument>(
+      [] { (void)build_unweighted_csr(kMaxVertices + 1, {}); }, count,
+      "build_unweighted_csr");
+  // The full 32-bit space is allowed, so add_edge's vertex count is the
+  // limit itself (nothing is built: the offsets alone would take 32 GiB).
+  GraphBuilder b(kMaxVertices);
+  b.add_edge(kMaxVertices - 1, 0);
+  expect_names_limit<std::out_of_range>([&b] { b.add_edge(kWideId, 0); }, kWideIdText,
+                                        "add_edge source");
+  expect_names_limit<std::out_of_range>([&b] { b.add_edge(0, kWideId); }, kWideIdText,
+                                        "add_edge destination");
+  EXPECT_EQ(b.edge_count(), 1u);
 }
 
 // --- Generators ------------------------------------------------------------
@@ -482,6 +532,21 @@ TEST(Zipf, RejectsEdgesOnZeroVertices) {
   EXPECT_EQ(g.num_edges(), 0u);
 }
 
+TEST(Generators, RejectVertexCountsPast32Bits) {
+  // Refused before anything is drawn or allocated per vertex.
+  const std::string count = std::to_string(kMaxVertices + 1);
+  ZipfParams zipf;
+  zipf.num_vertices = kMaxVertices + 1;
+  zipf.num_edges = 4;
+  expect_names_limit<std::invalid_argument>(
+      [&zipf] { (void)generate_zipf(zipf); }, count, "ZipfParams");
+  ErdosRenyiParams er;
+  er.num_vertices = kMaxVertices + 1;
+  er.num_edges = 4;
+  expect_names_limit<std::invalid_argument>(
+      [&er] { (void)generate_erdos_renyi(er); }, count, "ErdosRenyiParams");
+}
+
 TEST(ZipfSampler, PrefersLowRanks) {
   ZipfSampler sampler(1000, 1.5);
   Xoshiro256 rng(1);
@@ -506,6 +571,90 @@ TEST(Io, BinaryRoundTrip) {
   EXPECT_EQ(g.offsets(), g2.offsets());
   EXPECT_EQ(g.edges(), g2.edges());
   EXPECT_EQ(g.weights(), g2.weights());
+}
+
+/// An FWGRAPH1 stream written field by field, not by save_binary: the
+/// magic, then offsets, neighbor IDs as 8-byte words and weights, each a
+/// 64-bit count followed by the raw values.
+std::string fwgraph1_stream(const std::vector<std::uint64_t>& offsets,
+                            const std::vector<std::uint64_t>& ids,
+                            const std::vector<float>& weights) {
+  std::string bytes = "FWGRAPH1";
+  const auto append = [&bytes](const auto& values) {
+    const std::uint64_t n = values.size();
+    bytes.append(reinterpret_cast<const char*>(&n), sizeof n);
+    if (n > 0) {
+      bytes.append(reinterpret_cast<const char*>(values.data()), n * sizeof values[0]);
+    }
+  };
+  append(offsets);
+  append(ids);
+  append(weights);
+  return bytes;
+}
+
+TEST(Io, HandWrittenStreamLoadsToEqualGraph) {
+  GraphBuilder b(3);
+  b.add_edge(0, 1, 0.5f);
+  b.add_edge(0, 2, 1.5f);
+  b.add_edge(2, 0, 2.0f);
+  BuildOptions opts;
+  opts.keep_weights = true;
+  const CsrGraph want = std::move(b).build(opts);
+  std::stringstream ss(fwgraph1_stream({0, 2, 2, 3}, {1, 2, 0}, {0.5f, 1.5f, 2.0f}));
+  const CsrGraph got = load_binary(ss);
+  EXPECT_EQ(got.offsets(), want.offsets());
+  EXPECT_EQ(got.edges(), want.edges());
+  EXPECT_EQ(got.weights(), want.weights());
+
+  // The largest ID a CSR holds survives the 8-byte field.
+  std::stringstream widest(fwgraph1_stream({0, 1}, {kMaxVertices - 1}, {}));
+  EXPECT_EQ(load_binary(widest).neighbors(0)[0], kMaxVertices - 1);
+}
+
+TEST(Io, BinaryRejectsIdsPast32Bits) {
+  const std::string bytes = fwgraph1_stream({0, 2}, {1, kWideId}, {});
+  expect_names_limit<std::out_of_range>(
+      [&bytes] {
+        std::stringstream ss(bytes);
+        (void)load_binary(ss);
+      },
+      kWideIdText, "load_binary");
+}
+
+/// FNV-1a over a byte string.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+// FWGRAPH1 is the on-disk form of graph files and partition bundles: the
+// bytes save_binary writes do not depend on how the CSR holds IDs in
+// memory. Neighbor IDs take 8 bytes each on disk.
+TEST(Io, BinaryBytesArePinned) {
+  struct Pin {
+    bool weighted;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {{false, 0xa6f0d09525cdf2a0ull}, {true, 0xfec83d00f3fa939aull}};
+  for (const Pin& pin : pins) {
+    RmatParams p;
+    p.num_vertices = 64;
+    p.num_edges = 512;
+    p.weighted = pin.weighted;
+    p.seed = 3;
+    const CsrGraph g = generate_rmat(p);
+    std::stringstream ss;
+    save_binary(g, ss);
+    const std::string bytes = ss.str();
+    const std::size_t weight_bytes = pin.weighted ? 4 * p.num_edges : 0;
+    EXPECT_EQ(bytes.size(), 8 + 3 * 8 + 8 * (64 + 1) + 8 * p.num_edges + weight_bytes);
+    EXPECT_EQ(fnv1a(bytes), pin.hash)
+        << "weighted " << pin.weighted << ": got 0x" << std::hex << fnv1a(bytes);
+  }
 }
 
 TEST(Io, BinaryRejectsBadMagic) {
@@ -539,6 +688,15 @@ TEST(Io, EdgeListParsesWeights) {
 TEST(Io, EdgeListRejectsGarbage) {
   std::stringstream ss("zero one\n");
   EXPECT_THROW(load_edge_list(ss), std::runtime_error);
+}
+
+TEST(Io, EdgeListRejectsIdsPast32Bits) {
+  expect_names_limit<std::out_of_range>(
+      [] {
+        std::stringstream ss("0 1\n1 " + kWideIdText + "\n");
+        (void)load_edge_list(ss);
+      },
+      kWideIdText, "load_edge_list");
 }
 
 // --- Datasets ----------------------------------------------------------------

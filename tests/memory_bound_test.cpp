@@ -79,9 +79,24 @@ TEST(SetupMemory, UnweightedRmatHoldsCsrPlusEightBytesPerEdge) {
   const graph::CsrGraph g = graph::generate_rmat(p);
   const std::uint64_t peak = g_peak_bytes.load() - before;
   const std::uint64_t csr =
-      g.offsets().size() * sizeof(EdgeId) + g.edges().size() * sizeof(VertexId);
+      g.offsets().size() * sizeof(EdgeId) + g.edges().size() * sizeof(g.edges()[0]);
   EXPECT_EQ(g.num_edges(), p.num_edges);
   EXPECT_LE(peak, csr + 8 * p.num_edges + 1 * MiB) << "CSR bytes " << csr;
+}
+
+TEST(SetupMemory, CsrHoldsFourBytesPerNeighbor) {
+  // What the graph keeps once built: 8-byte offsets per vertex and a 4-byte
+  // ID per neighbor, the width the model charges (id_bytes()), and nothing
+  // left over from set-up.
+  graph::RmatParams p;
+  p.num_vertices = 1 << 16;
+  p.num_edges = 1 << 20;
+  p.seed = 5;
+  const std::uint64_t before = live_bytes();
+  const graph::CsrGraph g = graph::generate_rmat(p);
+  const std::uint64_t held = live_bytes() - before;
+  ASSERT_EQ(g.num_vertices(), p.num_vertices);
+  EXPECT_EQ(held, 8 * (g.num_vertices() + 1) + 4 * g.num_edges());
 }
 
 TEST(FifoMemory, DefaultConstructedQueuesAllocateNothing) {
