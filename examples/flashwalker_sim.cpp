@@ -121,11 +121,26 @@ CliOptions parse(int argc, char** argv) {
            });
   opts.opt("--engines", "fw,gw,dm,tr,gs", "which engines to run (default fw,gw)",
            [&o](const std::string& list) {
-             o.run_fw = list.find("fw") != std::string::npos;
-             o.run_gw = list.find("gw") != std::string::npos;
-             o.run_dm = list.find("dm") != std::string::npos;
-             o.run_tr = list.find("tr") != std::string::npos;
-             o.run_gs = list.find("gs") != std::string::npos;
+             o.run_fw = o.run_gw = o.run_dm = o.run_tr = o.run_gs = false;
+             for (std::size_t begin = 0, end = 0; end != std::string::npos;
+                  begin = end + 1) {
+               end = list.find(',', begin);
+               const std::string name = list.substr(begin, end - begin);
+               if (name == "fw") {
+                 o.run_fw = true;
+               } else if (name == "gw") {
+                 o.run_gw = true;
+               } else if (name == "dm") {
+                 o.run_dm = true;
+               } else if (name == "tr") {
+                 o.run_tr = true;
+               } else if (name == "gs") {
+                 o.run_gs = true;
+               } else {
+                 throw std::invalid_argument("--engines: unknown engine '" + name +
+                                             "' (expected fw, gw, dm, tr or gs)");
+               }
+             }
            });
   opts.flag("--no-wq", "disable walk-query merging",
             [&o] { o.features.walk_query = false; });
@@ -184,6 +199,11 @@ CliOptions parse(int argc, char** argv) {
   if (o.sim_threads > 1 && !o.trace_path.empty()) {
     std::cerr << "--trace-out requires --sim-threads 1 (the trace recorder is a "
                  "single shared sink)\n";
+    std::exit(2);
+  }
+  if (!o.trace_path.empty() && !o.run_fw && o.jobs_spec.empty()) {
+    std::cerr << "--trace-out traces the FlashWalker engine; include fw in "
+                 "--engines\n";
     std::exit(2);
   }
   if (o.devices == 0) {

@@ -802,73 +802,74 @@ FlashWalkerEngine::RouteDecision FlashWalkerEngine::route_decide(
     }
   }
 
-  if (target == kInvalidSubgraph) {
-    // Hot-subgraph short circuit (HS). Slot identities are fixed at load
-    // time, so membership is decidable here; queue capacity is live board
-    // state and is re-checked when the decision applies.
-    if (opt_.accel.features.hot_subgraphs && !board_.hot.empty()) {
-      cycles += match_cycles(board_.hot.size());
-      for (std::size_t i = 0; i < board_.hot.size(); ++i) {
-        if (walk_in_sg(w, pg_->subgraph(board_.hot[i].sg))) {
-          d.w = w;
-          d.action = RouteDecision::Action::kHot;
-          d.hot_slot = static_cast<std::uint32_t>(i);
-          return d;
-        }
-      }
-    }
+  if (target != kInvalidSubgraph) {
+    d.w = w;  // pre-walked: the chosen block is the target
+    d.target = target;
+    return d;
+  }
 
-    // Channel-attached range tags double as a foreigner check (paper
-    // §III.C): if the whole tagged range lies in another partition, the
-    // walk goes straight to the foreigner buffer — no mapping search. The
-    // comparison runs against the snapshot partition `part` the dispatch
-    // carried; switches are blocked while decisions are in flight, so the
-    // snapshot always equals the live partition at apply time.
-    if (opt_.accel.features.walk_query && w.range_tag != rw::kNoRangeTag) {
-      ++cycles;
-      const auto [first, count] = mtab_->range_span(w.range_tag);
-      const PartitionId pid_lo = pg_->partition_of(mtab_->entries()[first].sgid);
-      const PartitionId pid_hi =
-          pg_->partition_of(mtab_->entries()[first + count - 1].sgid);
-      if (pid_lo == pid_hi && pid_lo != part) {
-        ++sink.metrics.range_foreigner_hints;
+  // Hot-subgraph short circuit (HS). Slot identities are fixed at load
+  // time, so membership is decidable here; queue capacity is live board
+  // state and is re-checked when the decision applies.
+  if (opt_.accel.features.hot_subgraphs && !board_.hot.empty()) {
+    cycles += match_cycles(board_.hot.size());
+    for (std::size_t i = 0; i < board_.hot.size(); ++i) {
+      if (walk_in_sg(w, pg_->subgraph(board_.hot[i].sg))) {
         d.w = w;
-        d.pid = pid_lo;
-        d.action = owns_partition(pid_lo) ? RouteDecision::Action::kForeign
-                                          : RouteDecision::Action::kDevice;
+        d.action = RouteDecision::Action::kHot;
+        d.hot_slot = static_cast<std::uint32_t>(i);
         return d;
       }
     }
+  }
+  return route_past_hot(w, part, &g, sink, cycles);
+}
 
-    // Subgraph mapping lookup, possibly accelerated by WQ through the
-    // sub-shard's private query-cache slice.
-    partition::Lookup lookup;
-    if (opt_.accel.features.walk_query) {
-      lookup = w.range_tag != rw::kNoRangeTag ? mtab_->find_in_range(w.cur, w.range_tag)
-                                              : mtab_->find(w.cur);
-      auto& cache = *g.caches[g.cache_rr++ % g.caches.size()];
-      if (cache.access(lookup.sgid)) {
-        ++cycles;
-        ++sink.metrics.query_cache_hits;
-      } else {
-        cycles += lookup.steps;
-        ++sink.metrics.query_cache_misses;
-        sink.metrics.mapping_search_steps += lookup.steps;
-      }
-    } else {
-      lookup = mtab_->find(w.cur);
-      cycles += lookup.steps;
-      sink.metrics.mapping_search_steps += lookup.steps;
+FlashWalkerEngine::RouteDecision FlashWalkerEngine::route_past_hot(
+    const rw::Walk& w, PartitionId part, GuiderShard* g, ShardSink& sink,
+    std::uint64_t& cycles) {
+  RouteDecision d;
+  d.w = w;
+  // Channel-attached range tags double as a foreigner check (paper
+  // §III.C): if the whole tagged range lies in another partition, the
+  // walk goes straight to the foreigner buffer — no mapping search. A
+  // sub-shard compares against the snapshot partition its dispatch carried;
+  // switches are blocked while decisions are in flight, so the snapshot
+  // always equals the live partition at apply time.
+  if (opt_.accel.features.walk_query && w.range_tag != rw::kNoRangeTag) {
+    ++cycles;
+    const auto [first, count] = mtab_->range_span(w.range_tag);
+    const PartitionId pid_lo = pg_->partition_of(mtab_->entries()[first].sgid);
+    const PartitionId pid_hi =
+        pg_->partition_of(mtab_->entries()[first + count - 1].sgid);
+    if (pid_lo == pid_hi && pid_lo != part) {
+      ++sink.metrics.range_foreigner_hints;
+      d.pid = pid_lo;
+      d.action = owns_partition(pid_lo) ? RouteDecision::Action::kForeign
+                                        : RouteDecision::Action::kDevice;
+      return d;
     }
-    if (!lookup.found()) {
-      throw std::logic_error("route_decide: mapping lookup failed");
-    }
-    target = lookup.sgid;
   }
 
-  d.w = w;
-  d.action = RouteDecision::Action::kLocal;
-  d.target = target;
+  // Subgraph mapping lookup, narrowed to the tagged range under WQ and,
+  // when a sub-shard routes, accelerated by its private query-cache slice.
+  const partition::Lookup lookup =
+      opt_.accel.features.walk_query && w.range_tag != rw::kNoRangeTag
+          ? mtab_->find_in_range(w.cur, w.range_tag)
+          : mtab_->find(w.cur);
+  const bool cached = g != nullptr && opt_.accel.features.walk_query;
+  if (cached && g->caches[g->cache_rr++ % g->caches.size()]->access(lookup.sgid)) {
+    ++cycles;
+    ++sink.metrics.query_cache_hits;
+  } else {
+    if (cached) ++sink.metrics.query_cache_misses;
+    cycles += lookup.steps;
+    sink.metrics.mapping_search_steps += lookup.steps;
+  }
+  if (!lookup.found()) {
+    throw std::logic_error("route_past_hot: mapping lookup failed");
+  }
+  d.target = lookup.sgid;
   return d;
 }
 
@@ -901,59 +902,31 @@ void FlashWalkerEngine::place_routed(SubgraphId target, const rw::Walk& w,
   }
 }
 
-void FlashWalkerEngine::route_fallback(rw::Walk w,
-                                       std::vector<std::uint32_t>& touched_chips) {
-  // A hot-slot queue filled while this walk's decision was in flight. The
-  // serial guider fell through a full hot slot to the range check and the
-  // mapping lookup; replicate that tail here. The lookup runs uncached (the
-  // query caches live on the sub-shards) and its cycles are not re-charged:
-  // the chunk already paid its guider time, and this path fires at most
-  // once per capacity race.
-  ShardSink& bsink = sinks_[kBoardShard];
-  if (opt_.accel.features.walk_query && w.range_tag != rw::kNoRangeTag) {
-    const auto [first, count] = mtab_->range_span(w.range_tag);
-    const PartitionId pid_lo = pg_->partition_of(mtab_->entries()[first].sgid);
-    const PartitionId pid_hi =
-        pg_->partition_of(mtab_->entries()[first + count - 1].sgid);
-    if (pid_lo == pid_hi && pid_lo != current_partition_) {
-      ++bsink.metrics.range_foreigner_hints;
-      if (!owns_partition(pid_lo)) {
-        forward_walk(pid_lo, w);
-        return;
-      }
-      park_foreigner(pid_lo, w);
-      return;
-    }
-  }
-  const partition::Lookup lookup =
-      opt_.accel.features.walk_query && w.range_tag != rw::kNoRangeTag
-          ? mtab_->find_in_range(w.cur, w.range_tag)
-          : mtab_->find(w.cur);
-  bsink.metrics.mapping_search_steps += lookup.steps;
-  if (!lookup.found()) {
-    throw std::logic_error("route_fallback: mapping lookup failed");
-  }
-  place_routed(lookup.sgid, w, touched_chips);
-}
-
 void FlashWalkerEngine::apply_route_decisions(std::vector<RouteDecision> decs) {
-  std::vector<std::uint32_t> touched_chips = chip_list_pool_.acquire();
   for (RouteDecision& d : decs) {
-    switch (d.action) {
-      case RouteDecision::Action::kHot: {
-        LoadedSg& slot = board_.hot[d.hot_slot];
-        const std::uint64_t cap =
-            opt_.accel.board.walk_queue_bytes /
-            std::max<std::uint64_t>(1, board_.hot.size() * wbytes());
-        if (slot.queue.size() < cap) {
-          slot.queue.push_back(d.w);
-        } else {
-          route_fallback(d.w, touched_chips);
-        }
-        break;
+    if (d.action == RouteDecision::Action::kHot) {
+      LoadedSg& slot = board_.hot[d.hot_slot];
+      const std::uint64_t cap =
+          opt_.accel.board.walk_queue_bytes /
+          std::max<std::uint64_t>(1, board_.hot.size() * wbytes());
+      if (slot.queue.size() < cap) {
+        slot.queue.push_back(d.w);
+        continue;
       }
+      // The hot queue filled while this decision was in flight: route past
+      // the hot set, as the serial guider's fall-through did. The lookup
+      // runs uncached (the query caches live on the sub-shards) and its
+      // cycles are not charged: the chunk already paid its guider time, and
+      // this path fires at most once per capacity race.
+      std::uint64_t uncharged = 0;
+      d = route_past_hot(d.w, current_partition_, nullptr, sinks_[kBoardShard],
+                         uncharged);
+    }
+    switch (d.action) {
+      case RouteDecision::Action::kHot:
+        break;  // queued above
       case RouteDecision::Action::kLocal:
-        place_routed(d.target, d.w, touched_chips);
+        place_routed(d.target, d.w, touched_chips_);
         break;
       case RouteDecision::Action::kForeign:
         park_foreigner(d.pid, d.w);
@@ -966,8 +939,8 @@ void FlashWalkerEngine::apply_route_decisions(std::vector<RouteDecision> decs) {
   // Re-run the load granter for every chip this chunk fed: chips holding
   // walks are already processing (they kick themselves); idle chips get
   // their loads granted from the board-side slot views.
-  for (std::uint32_t g : touched_chips) board_request_loads(g);
-  chip_list_pool_.release(std::move(touched_chips));
+  for (std::uint32_t g : touched_chips_) board_request_loads(g);
+  touched_chips_.clear();
   kick_board_updater();
   kick_board_guider();
   maybe_switch_partition();
@@ -1054,6 +1027,18 @@ void FlashWalkerEngine::receive_forwarded(std::vector<rw::Walk> walks) {
 // Chip level (channel shard)
 // ---------------------------------------------------------------------------
 
+FlashWalkerEngine::LoadedSg* FlashWalkerEngine::next_busy_slot(
+    std::vector<LoadedSg>& slots, std::uint32_t& rr) {
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    LoadedSg& s = slots[(rr + i) % slots.size()];
+    if (!s.queue.empty()) {
+      rr = static_cast<std::uint32_t>((rr + i + 1) % slots.size());
+      return &s;
+    }
+  }
+  return nullptr;
+}
+
 void FlashWalkerEngine::kick_chip(ChipState& c) {
   if (sinks_[chip_shard(c)].done) return;
   report_drained_slots(c);
@@ -1084,16 +1069,7 @@ void FlashWalkerEngine::report_drained_slots(ChipState& c) {
 
 void FlashWalkerEngine::process_chip(ChipState& c) {
   c.processing = false;
-  // Round-robin over slots with walks.
-  LoadedSg* slot = nullptr;
-  for (std::size_t i = 0; i < c.slots.size(); ++i) {
-    LoadedSg& s = c.slots[(c.rr + i) % c.slots.size()];
-    if (!s.queue.empty()) {
-      slot = &s;
-      c.rr = static_cast<std::uint32_t>((c.rr + i + 1) % c.slots.size());
-      break;
-    }
-  }
+  LoadedSg* slot = next_busy_slot(c.slots, c.rr);
   if (slot == nullptr) {
     report_drained_slots(c);
     return;
@@ -1506,15 +1482,7 @@ void FlashWalkerEngine::kick_channel(ChannelState& ch) {
 
 void FlashWalkerEngine::process_channel(ChannelState& ch) {
   ch.processing = false;
-  LoadedSg* slot = nullptr;
-  for (std::size_t i = 0; i < ch.hot.size(); ++i) {
-    LoadedSg& s = ch.hot[(ch.rr + i) % ch.hot.size()];
-    if (!s.queue.empty()) {
-      slot = &s;
-      ch.rr = static_cast<std::uint32_t>((ch.rr + i + 1) % ch.hot.size());
-      break;
-    }
-  }
+  LoadedSg* slot = next_busy_slot(ch.hot, ch.rr);
   if (slot == nullptr) return;
 
   const sim::ShardId cs = channel_shard(ch);
@@ -1768,21 +1736,12 @@ void FlashWalkerEngine::kick_board_updater() {
                                      [](const LoadedSg& s) { return !s.queue.empty(); });
   if (!has_walks) return;
   board_.updating = true;
-  sched_at(kBoardShard, std::max(bnow(), board_.updater_unit.busy_until()),
-           [this] { process_board_updater(); });
+  sched_at(kBoardShard, bnow(), [this] { process_board_updater(); });
 }
 
 void FlashWalkerEngine::process_board_updater() {
   board_.updating = false;
-  LoadedSg* slot = nullptr;
-  for (std::size_t i = 0; i < board_.hot.size(); ++i) {
-    LoadedSg& s = board_.hot[(board_.rr + i) % board_.hot.size()];
-    if (!s.queue.empty()) {
-      slot = &s;
-      board_.rr = static_cast<std::uint32_t>((board_.rr + i + 1) % board_.hot.size());
-      break;
-    }
-  }
+  LoadedSg* slot = next_busy_slot(board_.hot, board_.rr);
   if (slot == nullptr) return;
 
   ShardSink& bsink = sinks_[kBoardShard];
@@ -1964,10 +1923,11 @@ void FlashWalkerEngine::publish_counters(const ShardAuditReport& audit) {
     set(prefix + ".updates", ch.updates);
     set(prefix + ".busy_ns", ch.unit.busy_time());
   }
-  // Board totals span the residue shard plus the guider-pool sub-shards.
-  std::uint64_t board_updates = board_.updates;
+  // Board totals: the residue's guider unit (dispatch and load scheduling)
+  // plus the guider-pool sub-shards, which run every board update.
+  std::uint64_t board_updates = 0;
   Tick guider_busy = board_.guider_unit.busy_time();
-  Tick updater_busy = board_.updater_unit.busy_time();
+  Tick updater_busy = 0;
   for (const GuiderShard& g : gshards_) {
     board_updates += g.updates;
     guider_busy += g.guider_unit.busy_time();

@@ -333,14 +333,14 @@ class FlashWalkerEngine {
     /// Guide buffer. Arriving batches and partitions' pending lists join
     /// it as chunks, without a copy, and each chunk is freed as it drains.
     Fifo<rw::Walk> guide;
+    /// Dispatch pass and load scheduling; the guider sub-shards own the
+    /// routing and updater units.
     sim::SerialResource guider_unit;
-    sim::SerialResource updater_unit;
     bool guiding = false;
     bool updating = false;
     std::uint64_t foreigner_buffered_bytes = 0;
     std::uint64_t completed_buffered_bytes = 0;
     std::uint32_t rr = 0;
-    std::uint64_t updates = 0;
     std::uint32_t guider_track = 0;
     std::uint32_t updater_track = 0;
   };
@@ -556,14 +556,17 @@ class FlashWalkerEngine {
   /// cache state, and `sink`/`cycles` tallies.
   RouteDecision route_decide(rw::Walk w, PartitionId part, GuiderShard& g,
                              ShardSink& sink, std::uint64_t& cycles);
+  /// The routing tail past the hot set: range check against partition
+  /// `part`, then the mapping lookup, through `g`'s query caches when a
+  /// sub-shard routes (null: uncached). Returns a kLocal, kForeign or
+  /// kDevice verdict and tallies into `sink` and `cycles`.
+  RouteDecision route_past_hot(const rw::Walk& w, PartitionId part, GuiderShard* g,
+                               ShardSink& sink, std::uint64_t& cycles);
   /// Board shard: apply a chunk's decisions in arrival order (PWB inserts,
-  /// hot placement with live capacity check, foreigner/forward placement,
-  /// then load grants for the touched chips).
+  /// hot placement with live capacity check — a full queue sends the walk
+  /// through route_past_hot uncached and uncharged — foreigner/forward
+  /// placement, then load grants for the touched chips).
   void apply_route_decisions(std::vector<RouteDecision> decs);
-  /// Board-shard tail for a hot-slot decision whose queue filled while the
-  /// decision was in flight: route past the hot set (range check + uncached
-  /// mapping lookup) exactly as the serial guider's fall-through did.
-  void route_fallback(rw::Walk w, std::vector<std::uint32_t>& touched_chips);
   /// Place a routed walk: PWB when its partition is current, forward when
   /// another board owns it, foreigner-park otherwise.
   void place_routed(SubgraphId target, const rw::Walk& w,
@@ -596,6 +599,9 @@ class FlashWalkerEngine {
   void array_flush_completions();
 
   // --- shared helpers ----------------------------------------------------
+  /// Round-robin pick: the first slot at or after `rr` whose queue holds
+  /// walks, moving `rr` just past it. Null when every queue is empty.
+  static LoadedSg* next_busy_slot(std::vector<LoadedSg>& slots, std::uint32_t& rr);
   void complete_walk(const rw::Walk& w, std::uint64_t& completed_bytes,
                      std::uint64_t flush_cap);
   void flush_walk_pages(std::uint64_t bytes, std::uint64_t& counter);
@@ -659,7 +665,7 @@ class FlashWalkerEngine {
   /// array keeps it alive for the engine's lifetime.
   const ArrayAttachment* array_ = nullptr;
   sim::ShardId shard_base_ = 0;  ///< first global shard of this board's slice
-  /// Simulator owned by a standalone engine; empty when array-attached.
+  /// ParallelSimulator owned by a standalone engine; empty when array-attached.
   std::unique_ptr<sim::ParallelSimulator> owned_psim_;
   /// The simulator events actually run on: owned_psim_ or the array's.
   sim::ParallelSimulator* psim_ = nullptr;
@@ -680,9 +686,9 @@ class FlashWalkerEngine {
   std::vector<ShardSink> sinks_;      ///< one per shard, single writer each
 
   static constexpr std::uint64_t kDramLineBytes = 64;
-  /// Free list for the per-batch chip lists the board guider emits
-  /// (board-shard only; walk batches use the per-shard sink pools).
-  VectorPool<std::uint32_t> chip_list_pool_;
+  /// Chips fed by the decisions apply_route_decisions is applying (board
+  /// shard only; emptied at the end of each call, its capacity reused).
+  std::vector<std::uint32_t> touched_chips_;
   std::vector<std::vector<rw::Walk>> pwb_walks_;   // per subgraph (current partition)
   std::vector<std::uint32_t> pwb_wc_bytes_;        // write-combining residue per entry
   std::vector<std::vector<rw::Walk>> fl_walks_;    // per subgraph, resident in flash

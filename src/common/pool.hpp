@@ -1,12 +1,12 @@
 // Free-list pools for hot-path transients.
 //
-// The DES hot path moves batches of walks (and per-batch scratch lists)
-// through short-lived std::vectors: every roving pull, board batch, and
-// subgraph load used to allocate a fresh vector and drop it one event
-// later. VectorPool recycles those buffers — acquire() hands back an empty
-// vector that keeps its previous capacity, release() returns it — so most
-// batch vectors cost no allocator traffic. The exception is a batch the
-// board's guide buffer adopts (common/fifo.hpp): it is freed once drained.
+// The DES hot path moves batches of walks through short-lived std::vectors:
+// every roving pull, board batch, and subgraph load used to allocate a
+// fresh vector and drop it one event later. VectorPool recycles those
+// buffers — acquire() hands back an empty vector that keeps its previous
+// capacity, release() returns it — so most batch vectors cost no allocator
+// traffic. The exception is a batch the board's guide buffer adopts
+// (common/fifo.hpp): it is freed once drained.
 //
 // Pools keep buffers at batch scale only. A buffer released with room for
 // more than kMaxCapacity elements (a long flash-resident list) is freed, not

@@ -34,45 +34,56 @@ void write_vec(std::ostream& os, const std::vector<T>& v) {
            static_cast<std::streamsize>(v.size() * sizeof(T)));
 }
 
-template <typename T>
-std::vector<T> read_vec(std::istream& is) {
-  const auto n = read_pod<std::uint64_t>(is);
-  std::vector<T> v(n);
-  is.read(reinterpret_cast<char*>(v.data()), static_cast<std::streamsize>(n * sizeof(T)));
-  if (!is) throw std::runtime_error("graph binary: truncated array");
-  return v;
-}
-
-// FWGRAPH1 stores neighbor IDs as 8-byte VertexIds; they pass through a
-// block of this many at a time, so no 8-byte copy of the array is made.
-constexpr std::size_t kIdBlock = 4096;
+// Arrays pass through a block of this many values at a time, so the file's
+// 8-byte neighbor IDs never exist as a whole 8-byte array. A loaded array
+// grows only by the blocks that arrived: its count comes from the stream,
+// and a corrupt count must fail as a truncated array, not allocate what it
+// claims.
+constexpr std::size_t kBlock = 4096;
 
 void write_ids(std::ostream& os, const std::vector<NeighborId>& ids) {
   write_pod<std::uint64_t>(os, ids.size());
-  std::array<VertexId, kIdBlock> block{};
-  for (std::size_t i = 0; i < ids.size(); i += kIdBlock) {
-    const std::size_t n = std::min(kIdBlock, ids.size() - i);
+  std::array<VertexId, kBlock> block{};
+  for (std::size_t i = 0; i < ids.size(); i += kBlock) {
+    const std::size_t n = std::min(kBlock, ids.size() - i);
     std::copy_n(ids.begin() + static_cast<std::ptrdiff_t>(i), n, block.begin());
     os.write(reinterpret_cast<const char*>(block.data()),
              static_cast<std::streamsize>(n * sizeof(VertexId)));
   }
 }
 
-std::vector<NeighborId> read_ids(std::istream& is) {
+/// Read a 64-bit count, then that many `Stored` values, keeping
+/// `convert(value)` of each.
+template <typename T, typename Stored, typename Convert>
+std::vector<T> read_array(std::istream& is, Convert convert) {
   const auto count = read_pod<std::uint64_t>(is);
-  std::vector<NeighborId> ids(count);
-  std::array<VertexId, kIdBlock> block{};
-  for (std::size_t i = 0; i < ids.size(); i += kIdBlock) {
-    const std::size_t n = std::min(kIdBlock, ids.size() - i);
+  std::vector<T> v;
+  std::array<Stored, kBlock> block{};
+  for (std::uint64_t done = 0; done < count; done += kBlock) {
+    const std::size_t n = std::min<std::uint64_t>(kBlock, count - done);
     is.read(reinterpret_cast<char*>(block.data()),
-            static_cast<std::streamsize>(n * sizeof(VertexId)));
+            static_cast<std::streamsize>(n * sizeof(Stored)));
     if (!is) throw std::runtime_error("graph binary: truncated array");
-    for (std::size_t j = 0; j < n; ++j) {
-      check_vertex_id(block[j], "graph binary");
-      ids[i + j] = static_cast<NeighborId>(block[j]);
+    if (v.capacity() - v.size() < n) {
+      // Doubling, capped at the count, so a whole array ends exactly sized.
+      const std::uint64_t grown = std::max(2 * v.capacity(), v.size() + n);
+      v.reserve(std::min(count, grown));
     }
+    for (std::size_t j = 0; j < n; ++j) v.push_back(convert(block[j]));
   }
-  return ids;
+  return v;
+}
+
+template <typename T>
+std::vector<T> read_vec(std::istream& is) {
+  return read_array<T, T>(is, [](T value) { return value; });
+}
+
+std::vector<NeighborId> read_ids(std::istream& is) {
+  return read_array<NeighborId, VertexId>(is, [](VertexId id) {
+    check_vertex_id(id, "graph binary");
+    return static_cast<NeighborId>(id);
+  });
 }
 
 }  // namespace

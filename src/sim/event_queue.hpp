@@ -111,7 +111,7 @@ class EventQueue {
   void promote_overflow();
 
   /// Re-anchor the window at `bid` after a push earlier than any pop so far
-  /// delivered (never taken by the Simulator, which clamps to `now`; direct
+  /// delivered (never taken by a Shard, which clamps to its clock; direct
   /// queue users may rewind time). Evicts events past the new window end.
   void rewind_to(std::uint64_t bid);
 

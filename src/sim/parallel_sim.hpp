@@ -54,15 +54,19 @@
 
 #include "common/types.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/shard_audit.hpp"
 
 namespace fw::sim {
 
+/// Identifies one event-queue shard. In an engine's slice, shard 0 is the
+/// board residue, 1 + c is channel c (with its chips), and 1 + C + k is
+/// guider sub-shard k, where C is the channel count.
+using ShardId = std::uint32_t;
+
 class ParallelSimulator;
 
-/// One event-queue shard. Handlers receive a reference to their home shard
-/// and use it exactly like the serial Simulator — plus `send` for
-/// cross-shard traffic. Constructed and owned by ParallelSimulator.
+/// One event-queue shard. Handlers receive a reference to their home shard,
+/// schedule on it with `schedule`/`schedule_at`, and reach other shards with
+/// `send`. Constructed and owned by ParallelSimulator.
 class Shard {
  public:
   Shard() = default;
@@ -77,8 +81,8 @@ class Shard {
   /// Schedule on this shard, `delay` ns from the shard clock.
   void schedule(Tick delay, EventFn fn) { queue_.push(now_ + delay, std::move(fn)); }
 
-  /// Schedule on this shard at absolute tick `at` (clamped to the shard
-  /// clock, like Simulator::schedule_at).
+  /// Schedule on this shard at absolute tick `at`; a tick in the past is
+  /// clamped to the shard clock.
   void schedule_at(Tick at, EventFn fn) {
     queue_.push(at < now_ ? now_ : at, std::move(fn));
   }
@@ -168,8 +172,8 @@ class ParallelSimulator {
   /// observability: placement never changes a result.
   [[nodiscard]] std::uint64_t placement_changes() const { return placement_changes_; }
 
-  /// Global completed-through time: the latest shard clock after run()
-  /// (clamped up to `until`, matching Simulator::run).
+  /// Global completed-through time: the latest shard clock after run(),
+  /// raised to a finite `until` when nothing is left pending.
   [[nodiscard]] Tick now() const { return now_; }
   /// No event queued and no crossing waiting for delivery.
   [[nodiscard]] bool idle() const;

@@ -1,10 +1,9 @@
-// Graph algorithms & transforms: BFS, WCC, PageRank, triangle proxy,
-// reverse/symmetrize/relabel, ordering permutations, and edge locality.
+// Graph transforms: reverse/symmetrize/relabel, ordering permutations, and
+// edge locality.
 #include <gtest/gtest.h>
 
-#include <numeric>
+#include <algorithm>
 
-#include "graph/algorithms.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/transform.hpp"
@@ -16,84 +15,6 @@ CsrGraph chain(VertexId n) {
   GraphBuilder b(n);
   for (VertexId v = 0; v + 1 < n; ++v) b.add_edge(v, v + 1);
   return std::move(b).build();
-}
-
-TEST(Bfs, LevelsOnChain) {
-  const auto g = chain(5);
-  const auto levels = bfs_levels(g, 0);
-  for (VertexId v = 0; v < 5; ++v) EXPECT_EQ(levels[v], v);
-}
-
-TEST(Bfs, UnreachableMarked) {
-  GraphBuilder b(4);
-  b.add_edge(0, 1);
-  b.add_edge(2, 3);
-  const auto g = std::move(b).build();
-  const auto levels = bfs_levels(g, 0);
-  EXPECT_EQ(levels[1], 1u);
-  EXPECT_EQ(levels[2], ~0u);
-  EXPECT_EQ(levels[3], ~0u);
-}
-
-TEST(Wcc, TwoComponents) {
-  GraphBuilder b(5);
-  b.add_edge(0, 1);
-  b.add_edge(1, 2);
-  b.add_edge(3, 4);
-  const auto g = std::move(b).build();
-  std::uint32_t n = 0;
-  const auto comp = weakly_connected_components(g, &n);
-  EXPECT_EQ(n, 2u);
-  EXPECT_EQ(comp[0], comp[1]);
-  EXPECT_EQ(comp[1], comp[2]);
-  EXPECT_EQ(comp[3], comp[4]);
-  EXPECT_NE(comp[0], comp[3]);
-  EXPECT_EQ(largest_wcc_size(g), 3u);
-}
-
-TEST(Wcc, DirectionIgnored) {
-  GraphBuilder b(3);
-  b.add_edge(1, 0);
-  b.add_edge(1, 2);
-  const auto g = std::move(b).build();
-  std::uint32_t n = 0;
-  weakly_connected_components(g, &n);
-  EXPECT_EQ(n, 1u);
-}
-
-TEST(Pagerank, SumsToOne) {
-  RmatParams p;
-  p.num_vertices = 512;
-  p.num_edges = 4096;
-  const auto g = generate_rmat(p);
-  const auto pr = pagerank(g);
-  const double sum = std::accumulate(pr.begin(), pr.end(), 0.0);
-  EXPECT_NEAR(sum, 1.0, 1e-9);
-}
-
-TEST(Pagerank, HubOutranksLeaf) {
-  // Everyone points to vertex 0; 0 points to 1.
-  GraphBuilder b(6);
-  for (VertexId v = 1; v < 6; ++v) b.add_edge(v, 0);
-  b.add_edge(0, 1);
-  const auto g = std::move(b).build();
-  const auto pr = pagerank(g);
-  for (VertexId v = 2; v < 6; ++v) EXPECT_GT(pr[0], pr[v]);
-}
-
-TEST(Triangles, TriangleDetected) {
-  GraphBuilder b(3);
-  for (VertexId v = 0; v < 3; ++v) {
-    for (VertexId u = 0; u < 3; ++u) {
-      if (v != u) b.add_edge(v, u);
-    }
-  }
-  const auto g = std::move(b).build();
-  EXPECT_GT(count_triangles(g), 0u);
-}
-
-TEST(Triangles, ChainHasNone) {
-  EXPECT_EQ(count_triangles(chain(10)), 0u);
 }
 
 // --- transforms ----------------------------------------------------------------

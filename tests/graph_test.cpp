@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -441,7 +442,7 @@ INSTANTIATE_TEST_SUITE_P(EdgeCounts, RmatOracle,
                          ::testing::Values(EdgeId{0}, EdgeId{1}, EdgeId{7}, EdgeId{4097},
                                            EdgeId{65'537}, EdgeId{(1u << 20) + 3}),
                          [](const auto& param_info) {
-                           return "m" + std::to_string(param_info.param);
+                           return std::string("m") + std::to_string(param_info.param);
                          });
 
 // Every option combination on R-MAT edges, which carry self-loops and
@@ -655,6 +656,32 @@ TEST(Io, BinaryBytesArePinned) {
     EXPECT_EQ(fnv1a(bytes), pin.hash)
         << "weighted " << pin.weighted << ": got 0x" << std::hex << fnv1a(bytes);
   }
+}
+
+/// What load_binary throws on `bytes`, or "" when it loads.
+std::string load_error(const std::string& bytes) {
+  std::stringstream ss(bytes);
+  try {
+    (void)load_binary(ss);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Io, BinaryRejectsCountsTheStreamDoesNotHold) {
+  // A count is read before its values, so it cannot be trusted: the loader
+  // keeps only what arrived, and an array shorter than its count fails as
+  // truncated, whatever the count claimed.
+  std::string huge = fwgraph1_stream({0, 1}, {0}, {});
+  const std::uint64_t offsets_count = 1ull << 61;
+  std::memcpy(huge.data() + 8, &offsets_count, sizeof offsets_count);
+  EXPECT_EQ(load_error(huge), "graph binary: truncated array");
+
+  // The last neighbor ID and the weights' count cut off.
+  std::string short_ids = fwgraph1_stream({0, 2, 3}, {1, 2, 0}, {});
+  short_ids.resize(short_ids.size() - 16);
+  EXPECT_EQ(load_error(short_ids), "graph binary: truncated array");
 }
 
 TEST(Io, BinaryRejectsBadMagic) {

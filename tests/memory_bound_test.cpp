@@ -1,4 +1,5 @@
-// Bounds on what graph set-up and walk queues hold on the host heap.
+// Bounds on what graph set-up, graph loading and walk queues hold on the host
+// heap.
 //
 // This binary replaces the global operator new/delete with a pair that
 // tracks live bytes and their high-water mark, so a test can bound what a
@@ -13,12 +14,16 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/fifo.hpp"
 #include "common/units.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
+#include "graph/io.hpp"
 
 namespace {
 
@@ -97,6 +102,20 @@ TEST(SetupMemory, CsrHoldsFourBytesPerNeighbor) {
   const std::uint64_t held = live_bytes() - before;
   ASSERT_EQ(g.num_vertices(), p.num_vertices);
   EXPECT_EQ(held, 8 * (g.num_vertices() + 1) + 4 * g.num_edges());
+}
+
+TEST(LoadMemory, CorruptCountAllocatesOnlyWhatArrived) {
+  // An FWGRAPH1 stream whose offsets count claims 2^27 values (1 GiB) over
+  // 64 bytes of data: the loader must fail on the short array having held
+  // about one read block, not the claimed size.
+  std::string bytes = "FWGRAPH1";
+  const std::uint64_t claimed = 1ull << 27;
+  bytes.append(reinterpret_cast<const char*>(&claimed), sizeof claimed);
+  bytes.append(64, '\0');
+  std::stringstream ss(bytes);
+  const std::uint64_t before = restart_peak();
+  EXPECT_THROW((void)graph::load_binary(ss), std::runtime_error);
+  EXPECT_LT(g_peak_bytes.load() - before, 1 * MiB);
 }
 
 TEST(FifoMemory, DefaultConstructedQueuesAllocateNothing) {

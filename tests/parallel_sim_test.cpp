@@ -155,6 +155,22 @@ TEST(ParallelSim, EventsCanScheduleAndChainAcrossWindows) {
   EXPECT_EQ(ps.events_executed(), 3u);
 }
 
+TEST(ParallelSim, ScheduleAtClampsAPastTickToTheShardClock) {
+  // An event scheduled for a tick the shard clock has already passed fires
+  // at the clock, never in the past, at every worker count.
+  for (std::uint32_t workers : {1u, 2u}) {
+    ParallelSimulator ps(2, kLookahead, workers);
+    Tick fired_at = 0;
+    ps.shard(1).schedule(100, [&ps, &fired_at] {
+      ps.shard(1).schedule_at(50, [&ps, &fired_at] { fired_at = ps.shard(1).now(); });
+    });
+    ps.run();
+    EXPECT_EQ(fired_at, 100u) << workers << " workers";
+    EXPECT_EQ(ps.shard(1).now(), 100u) << workers << " workers";
+    EXPECT_EQ(ps.events_executed(), 2u) << workers << " workers";
+  }
+}
+
 TEST(ParallelSim, RunUntilBoundsExecutionAndResumes) {
   // The crossing sent at tick 10 lands at 160, beyond `until`: run(100)
   // leaves it queued at its destination, and the next run delivers it at
@@ -173,8 +189,8 @@ TEST(ParallelSim, RunUntilBoundsExecutionAndResumes) {
     EXPECT_EQ(log.size(), 1u);
     EXPECT_FALSE(ps.idle());
     EXPECT_EQ(ps.shard(1).pending(), 2u);  // the crossing waits at shard 1
-    // Like Simulator::run, the clock rests on the last executed event while
-    // work remains pending beyond the bound.
+    // The clock rests on the last executed event while work remains
+    // pending beyond the bound.
     EXPECT_EQ(ps.now(), 10u);
     EXPECT_EQ(ps.run(), 2u);
     EXPECT_TRUE(ps.idle());

@@ -1,5 +1,5 @@
-// Unit tests for the DES kernel: event queue ordering, simulator clock,
-// contention primitives, timeline recorder.
+// Unit tests for the DES kernel: event queue ordering, contention
+// primitives, timeline recorder.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -7,7 +7,6 @@
 #include "common/units.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/resource.hpp"
-#include "sim/simulator.hpp"
 #include "sim/timeline.hpp"
 
 namespace fw::sim {
@@ -31,58 +30,6 @@ TEST(EventQueue, EqualTicksFireInInsertionOrder) {
   }
   while (!q.empty()) q.pop().second();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(Simulator, ClockAdvancesToEventTime) {
-  Simulator sim;
-  Tick seen = 0;
-  sim.schedule(100, [&] { seen = sim.now(); });
-  sim.run();
-  EXPECT_EQ(seen, 100u);
-  EXPECT_EQ(sim.now(), 100u);
-}
-
-TEST(Simulator, EventsCanScheduleEvents) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule(10, [&] {
-    ++fired;
-    sim.schedule(10, [&] { ++fired; });
-  });
-  sim.run();
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(sim.now(), 20u);
-}
-
-TEST(Simulator, RunUntilStopsEarly) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule(10, [&] { ++fired; });
-  sim.schedule(100, [&] { ++fired; });
-  sim.run(50);
-  EXPECT_EQ(fired, 1);
-  sim.run();
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(Simulator, ScheduleAtClampsToNow) {
-  Simulator sim;
-  sim.schedule(100, [&] {
-    sim.schedule_at(50, [] {});  // in the past: clamped
-  });
-  sim.run();
-  EXPECT_EQ(sim.now(), 100u);
-}
-
-TEST(Simulator, StepExecutesOne) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule(1, [&] { ++fired; });
-  sim.schedule(2, [&] { ++fired; });
-  EXPECT_TRUE(sim.step());
-  EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(sim.step());
-  EXPECT_FALSE(sim.step());
 }
 
 TEST(SerialResource, FifoQueuing) {
@@ -140,19 +87,6 @@ TEST(TimelineRecorder, IgnoresNonAdvancingSample) {
   rec.sample(10, 1, 1, 1, 1, 1, 2);
   rec.sample(10, 2, 2, 2, 2, 2, 2);  // same tick: dropped
   EXPECT_EQ(rec.points().size(), 1u);
-}
-
-TEST(Determinism, SameScheduleSameTrace) {
-  auto run_once = [] {
-    Simulator sim;
-    std::vector<Tick> trace;
-    for (int i = 0; i < 100; ++i) {
-      sim.schedule((i * 37) % 50, [&trace, &sim] { trace.push_back(sim.now()); });
-    }
-    sim.run();
-    return trace;
-  };
-  EXPECT_EQ(run_once(), run_once());
 }
 
 }  // namespace

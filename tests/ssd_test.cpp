@@ -1,12 +1,12 @@
 // SSD substrate tests: addressing, flash timing, channel contention, FTL
-// (mapping, GC, write amplification), DRAM, host device, and graph layout.
+// (mapping, GC, write amplification), DRAM timing config, host device, and
+// graph layout.
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
 #include "partition/partitioned_graph.hpp"
 #include "ssd/address.hpp"
 #include "ssd/config.hpp"
-#include "ssd/dram.hpp"
 #include "ssd/flash_array.hpp"
 #include "ssd/ftl.hpp"
 #include "ssd/graph_layout.hpp"
@@ -210,22 +210,6 @@ TEST(Ftl, GarbageCollectionReclaimsSpace) {
 TEST(Ftl, RejectsFullReservation) {
   FlashArray flash(test_ssd_config());
   EXPECT_THROW(Ftl(flash, flash.config().topo.blocks_per_plane), std::invalid_argument);
-}
-
-// --- DRAM ----------------------------------------------------------------------
-
-TEST(Dram, AccessChargesLatencyAndBandwidth) {
-  DramModel dram{DramConfig{}};
-  const Tick t = dram.access(0, 12800);  // 12.8 KB at 12.8 GB/s = 1 us
-  EXPECT_EQ(t, 1000u + dram.config().access_latency());
-  EXPECT_EQ(dram.bytes_moved(), 12800u);
-}
-
-TEST(Dram, SharedBusSerializes) {
-  DramModel dram{DramConfig{}};
-  const Tick t1 = dram.access(0, 12800);
-  const Tick t2 = dram.access(0, 12800);
-  EXPECT_EQ(t2, 2 * t1);
 }
 
 // --- SsdDevice ---------------------------------------------------------------------
