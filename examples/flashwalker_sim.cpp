@@ -36,6 +36,7 @@
 #include "graph/io.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
+#include "rw/walk.hpp"
 #include "ssd/reliability/options.hpp"
 
 using namespace fw;
@@ -108,7 +109,7 @@ CliOptions parse(int argc, char** argv) {
            });
   opts.opt("--graph", &o.graph_path, "PATH", "load an edge-list file instead");
   opts.opt("--walks", &o.walks, "N", "number of walks (default: dataset default)");
-  opts.opt("--length", &o.length, "N", "walk length (default 6)");
+  opts.opt("--length", &o.length, "N", "walk length in hops (default 6, at most 32767)");
   opts.flag("--biased", &o.biased, "edge-weight-biased walks (ITS)");
   opts.opt("--node2vec", "P,Q", "second-order walks with p/q",
            [&o](const std::string& v) {
@@ -218,6 +219,11 @@ CliOptions parse(int argc, char** argv) {
   if (o.devices > 1 && !o.run_fw) {
     std::cerr << "--devices applies to the FlashWalker engine; include fw in "
                  "--engines\n";
+    std::exit(2);
+  }
+  if (o.length > rw::kMaxWalkLength) {
+    std::cerr << "--length: " << o.length << " exceeds the limit of "
+              << rw::kMaxWalkLength << " hops\n";
     std::exit(2);
   }
   if (o.labels > 255) {
@@ -387,6 +393,11 @@ int main(int argc, char** argv) {
                               }
                               return graph::load_edge_list(in);
                             }();
+  if (cli.biased && !g.weighted()) {
+    std::cerr << "--biased requires a weighted graph: the built-in datasets are "
+                 "unweighted; load one with edge weights through --graph\n";
+    return 2;
+  }
   if (cli.labels > 0) {
     g.assign_hashed_labels(static_cast<std::uint8_t>(cli.labels), cli.seed);
   }

@@ -68,6 +68,7 @@ FlashWalkerEngine::FlashWalkerEngine(const partition::PartitionedGraph& pg,
     // Resolve the job's walk model from the registry; throws for an
     // unknown model name or invalid model parameters.
     jc.model = rw::create_model(jc.job.spec);
+    jc.start_hops = rw::hop_count(jc.job.spec.length);
     if (jc.job.weight == 0) jc.job.weight = service::qos_weight(jc.job.qos);
     jc.expected = service::expected_walks(jc.job.spec, pg.graph().num_vertices());
     jc.walk_base = static_cast<std::uint32_t>(total_expected_);
@@ -365,7 +366,7 @@ void FlashWalkerEngine::admit_job(std::uint16_t j) {
     w.src = v;
     w.cur = v;
     w.state = jc.model->init_state();
-    w.hops_left = static_cast<std::uint16_t>(spec.length);
+    w.hops_left = jc.start_hops;
     // Per-walk stream, same derivation as the host reference walker: the
     // walk's path is a pure function of (seed, id), independent of how the
     // DES interleaves updates — fault-induced reordering and co-scheduled
@@ -629,7 +630,7 @@ FlashWalkerEngine::HopOutcome FlashWalkerEngine::update_walk_step(
   rw::Gather gv;
   gv.dense = sg.dense;
   gv.begin = sg.dense ? sg.edge_begin : g.offsets()[w.cur];
-  gv.end = sg.dense ? sg.edge_end : g.offsets()[w.cur + 1];
+  gv.end = sg.dense ? sg.edge_end : g.offsets()[VertexId{w.cur} + 1];
   gv.vertex_first_edge = sg.dense ? g.offsets()[sg.low_vid] : gv.begin;
 
   const rw::SampleResult s = model.sample(g, its_.get(), gv, w, rng);
@@ -773,7 +774,7 @@ FlashWalkerEngine::RouteDecision FlashWalkerEngine::route_decide(
         // Biased pre-walk: block chosen proportionally to its weight mass.
         const auto& gr = pg_->graph();
         const EdgeId first_edge = gr.offsets()[w.cur];
-        const EdgeId last_edge = gr.offsets()[w.cur + 1];
+        const EdgeId last_edge = gr.offsets()[VertexId{w.cur} + 1];
         const double total = its_->cumulative_weight(last_edge - 1);
         const double rnd = wrng.uniform() * total;
         // Binary search over block boundaries.

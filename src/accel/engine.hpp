@@ -452,6 +452,8 @@ class FlashWalkerEngine {
     std::uint64_t hops = 0;
     std::uint64_t parked = 0;
     std::uint32_t walk_base = 0;  ///< global walk-id offset of local walk 0
+    /// spec.length as the hop counter's start value (rw::hop_count).
+    std::uint16_t start_hops = 0;
     bool admitted = false;
     Tick admit_tick = 0;
     Tick done_tick = 0;

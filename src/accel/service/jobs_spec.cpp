@@ -1,12 +1,15 @@
 #include "accel/service/jobs_spec.hpp"
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/options.hpp"
 #include "rw/model/registry.hpp"
+#include "rw/walk.hpp"
 
 namespace fw::accel::service {
 namespace {
@@ -33,15 +36,21 @@ std::vector<std::string> split(const std::string& s, char sep) {
   throw std::invalid_argument("--jobs entry '" + entry + "': " + why);
 }
 
-std::uint64_t parse_u64(const std::string& entry, const std::string& v) {
+/// `v` as an unsigned integer of at most `max`. OptionSet::to_u64 rejects
+/// any '-', which std::stoull would wrap ("-1" reads as 2^64 - 1).
+std::uint64_t parse_uint(const std::string& entry, const std::string& key,
+                         const std::string& v,
+                         std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  std::uint64_t r = 0;
   try {
-    std::size_t pos = 0;
-    const std::uint64_t r = std::stoull(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument(v);
-    return r;
-  } catch (const std::exception&) {
+    r = OptionSet::to_u64(key, v);
+  } catch (const std::invalid_argument&) {
     fail(entry, "expected an integer, got '" + v + "'");
   }
+  if (r > max) {
+    fail(entry, key + "=" + v + " exceeds the limit of " + std::to_string(max));
+  }
+  return r;
 }
 
 /// "unknown key 'x' for model 'm' (model keys: ...; common keys: ...)".
@@ -59,18 +68,20 @@ std::uint64_t parse_u64(const std::string& entry, const std::string& v) {
 bool apply_common_key(const std::string& raw, WalkJob& job, bool& seed_set,
                       const std::string& key, const std::string& val) {
   if (key == "walks") {
-    job.spec.num_walks = parse_u64(raw, val);
+    job.spec.num_walks = parse_uint(raw, key, val);
   } else if (key == "length") {
-    job.spec.length = static_cast<std::uint32_t>(parse_u64(raw, val));
+    job.spec.length =
+        static_cast<std::uint32_t>(parse_uint(raw, key, val, rw::kMaxWalkLength));
   } else if (key == "seed") {
-    job.spec.seed = parse_u64(raw, val);
+    job.spec.seed = parse_uint(raw, key, val);
     seed_set = true;
   } else if (key == "weight") {
-    job.weight = static_cast<std::uint32_t>(parse_u64(raw, val));
+    job.weight = static_cast<std::uint32_t>(
+        parse_uint(raw, key, val, std::numeric_limits<std::uint32_t>::max()));
   } else if (key == "arrive") {
-    job.arrival = parse_u64(raw, val);
+    job.arrival = parse_uint(raw, key, val);
   } else if (key == "source") {
-    job.spec.source = static_cast<VertexId>(parse_u64(raw, val));
+    job.spec.source = parse_uint(raw, key, val);
   } else if (key == "qos") {
     if (val == "bronze") {
       job.qos = QosClass::kBronze;
@@ -108,7 +119,7 @@ std::vector<WalkJob> parse_jobs(const std::string& spec,
     std::string entry = raw;
     std::uint64_t count = 1;
     if (const std::size_t star = entry.find('*'); star != std::string::npos) {
-      count = parse_u64(raw, entry.substr(0, star));
+      count = parse_uint(raw, "count", entry.substr(0, star));
       if (count == 0) fail(raw, "repeat count must be >= 1");
       entry = entry.substr(star + 1);
     }

@@ -7,7 +7,10 @@ namespace fw::baseline {
 
 DrunkardMobEngine::DrunkardMobEngine(const graph::CsrGraph& graph,
                                      DrunkardMobOptions options)
-    : graph_(&graph), opt_(std::move(options)), rng_(opt_.spec.seed) {
+    : graph_(&graph),
+      opt_(std::move(options)),
+      hops_(rw::hop_count(opt_.spec.length)),
+      rng_(opt_.spec.seed) {
   partition::PartitionConfig pc;
   pc.block_capacity_bytes = opt_.host.block_bytes;
   pc.subgraphs_per_partition = 1u << 30;
@@ -45,7 +48,7 @@ BaselineResult DrunkardMobEngine::run() {
     rw::Walk w;
     w.src = v;
     w.cur = v;
-    w.hops_left = static_cast<std::uint16_t>(opt_.spec.length);
+    w.hops_left = hops_;
     route(w);
     ++result.walks_started;
   };

@@ -30,6 +30,8 @@ class DrunkardMobEngine {
  private:
   const graph::CsrGraph* graph_;
   DrunkardMobOptions opt_;
+  /// opt_.spec.length as the hop counter's start value (rw::hop_count).
+  std::uint16_t hops_;
   std::unique_ptr<partition::PartitionedGraph> blocks_view_;
   std::unique_ptr<ssd::FlashArray> flash_;
   std::unique_ptr<ssd::SsdDevice> ssd_;

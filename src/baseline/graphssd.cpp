@@ -39,7 +39,10 @@ class PageLru {
 }  // namespace
 
 GraphSsdEngine::GraphSsdEngine(const graph::CsrGraph& graph, GraphSsdOptions options)
-    : graph_(&graph), opt_(std::move(options)), rng_(opt_.spec.seed) {
+    : graph_(&graph),
+      opt_(std::move(options)),
+      hops_(rw::hop_count(opt_.spec.length)),
+      rng_(opt_.spec.seed) {
   flash_ = std::make_unique<ssd::FlashArray>(opt_.ssd);
   ssd_ = std::make_unique<ssd::SsdDevice>(*flash_);
   nvme_ = std::make_unique<ssd::NvmeInterface>(*ssd_, opt_.nvme);
@@ -67,7 +70,7 @@ BaselineResult GraphSsdEngine::run() {
     rw::Walk w;
     w.src = v;
     w.cur = v;
-    w.hops_left = static_cast<std::uint16_t>(opt_.spec.length);
+    w.hops_left = hops_;
     walks.push_back(w);
     ++result.walks_started;
   };

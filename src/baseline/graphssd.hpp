@@ -40,6 +40,8 @@ class GraphSsdEngine {
 
   const graph::CsrGraph* graph_;
   GraphSsdOptions opt_;
+  /// opt_.spec.length as the hop counter's start value (rw::hop_count).
+  std::uint16_t hops_;
   std::unique_ptr<ssd::FlashArray> flash_;
   std::unique_ptr<ssd::SsdDevice> ssd_;
   std::unique_ptr<ssd::NvmeInterface> nvme_;

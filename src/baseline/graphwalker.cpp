@@ -8,7 +8,10 @@ namespace fw::baseline {
 
 GraphWalkerEngine::GraphWalkerEngine(const graph::CsrGraph& graph,
                                      GraphWalkerOptions options)
-    : graph_(&graph), opt_(std::move(options)), rng_(opt_.spec.seed) {
+    : graph_(&graph),
+      opt_(std::move(options)),
+      hops_(rw::hop_count(opt_.spec.length)),
+      rng_(opt_.spec.seed) {
   partition::PartitionConfig pc;
   pc.block_capacity_bytes = opt_.host.block_bytes;
   pc.subgraphs_per_partition = 1u << 30;  // GraphWalker has no partitions
@@ -183,7 +186,7 @@ BaselineResult GraphWalkerEngine::run() {
     rw::Walk w;
     w.src = v;
     w.cur = v;
-    w.hops_left = static_cast<std::uint16_t>(opt_.spec.length);
+    w.hops_left = hops_;
     std::uint32_t dest = block_of(v);
     if (blocks_view_->subgraph(dest).dense) {
       const EdgeId deg = graph_->out_degree(v);

@@ -7,7 +7,10 @@ namespace fw::baseline {
 
 KnightKingEngine::KnightKingEngine(const graph::CsrGraph& graph,
                                    KnightKingOptions options)
-    : graph_(&graph), opt_(std::move(options)), rng_(opt_.spec.seed) {
+    : graph_(&graph),
+      opt_(std::move(options)),
+      hops_(rw::hop_count(opt_.spec.length)),
+      rng_(opt_.spec.seed) {
   if (opt_.workers == 0) throw std::invalid_argument("KnightKing: zero workers");
   vertices_per_worker_ =
       (graph.num_vertices() + opt_.workers - 1) / opt_.workers;
@@ -39,7 +42,7 @@ KnightKingResult KnightKingEngine::run() {
     rw::Walk walk;
     walk.src = v;
     walk.cur = v;
-    walk.hops_left = static_cast<std::uint16_t>(opt_.spec.length);
+    walk.hops_left = hops_;
     place(walk);
     ++base.walks_started;
   };

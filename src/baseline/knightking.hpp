@@ -60,6 +60,8 @@ class KnightKingEngine {
  private:
   const graph::CsrGraph* graph_;
   KnightKingOptions opt_;
+  /// opt_.spec.length as the hop counter's start value (rw::hop_count).
+  std::uint16_t hops_;
   VertexId vertices_per_worker_;
   std::unique_ptr<rw::ItsTable> its_;
   Xoshiro256 rng_;

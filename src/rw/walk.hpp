@@ -9,18 +9,28 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "common/types.hpp"
+#include "graph/csr.hpp"
 
 namespace fw::rw {
 
 inline constexpr std::uint32_t kNoRangeTag = ~0u;
 
+/// Longest walk the record's 15-bit hop counter holds.
+inline constexpr std::uint32_t kMaxWalkLength = (1u << 15) - 1;
+
 struct Walk {
-  // Fields run from widest to narrowest, so the record packs into 56 bytes
-  // with padding only at the end (grouped by meaning it padded to 64).
-  VertexId src = 0;
-  VertexId cur = 0;
+  // Every buffer, queue and flash-resident list holds walks by value, so
+  // this record is the host memory per live walk. It packs into 40 bytes:
+  // vertex IDs at the CSR's 4-byte width, then the 8-byte fields, then the
+  // 4- and 2-byte ones, with the hop counter and `parked` sharing a word.
+  /// Source and current vertex, held as graph::NeighborId: every graph has
+  /// at most graph::kMaxVertices vertices. Reads widen to VertexId.
+  graph::NeighborId src = 0;
+  graph::NeighborId cur = 0;
   /// Model-owned carried state (WalkModel::init_state/update): the previous
   /// vertex for second-order models (node2vec, autoreg), the residual-mass
   /// bits for early-termination PPR, unused otherwise. Its modeled size is
@@ -46,17 +56,25 @@ struct Walk {
   /// dispatch, fair-share accounting, and per-job output attribution; like
   /// `id` it is simulation-side and never enters byte accounting.
   std::uint16_t job = 0;
-  std::uint16_t hops_left = 0;
+  /// Hops still to take, at most kMaxWalkLength; start it with hop_count().
+  std::uint16_t hops_left : 15 = 0;
   /// Set while the walk sits parked behind a retrying subgraph load; cleared
   /// on its next update. A walk parks at most once per hop, so retries delay
   /// but can never livelock it.
-  bool parked = false;
+  bool parked : 1 = false;
 
   [[nodiscard]] bool finished() const { return hops_left == 0; }
 };
-// Every buffer, queue and flash-resident list holds walks by value, so host
-// memory per live walk is this size.
-static_assert(sizeof(Walk) <= 56, "rw::Walk grew past its 56-byte record");
+static_assert(sizeof(Walk) == 40, "rw::Walk is a 40-byte record");
+
+/// A walk length as the hop counter's start value. Throws
+/// std::invalid_argument naming `length` and kMaxWalkLength when the
+/// counter cannot hold it.
+inline std::uint16_t hop_count(std::uint32_t length) {
+  if (length <= kMaxWalkLength) return static_cast<std::uint16_t>(length);
+  throw std::invalid_argument(std::string("walk length ") + std::to_string(length) +
+                              " exceeds the limit of " + std::to_string(kMaxWalkLength));
+}
 
 /// On-flash / in-buffer footprint of one walk: src + cur + hop counter.
 /// Dense walks stored in a dense subgraph's buffer entry omit `cur` (it is

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <ostream>
 
 #include "accel/builder.hpp"
 #include "accel/engine.hpp"
@@ -191,6 +192,9 @@ struct FeatureCase {
   bool wq, hs, ss;
   const char* name;
 };
+// By name: gtest would print the raw bytes, `name`'s address among them, so
+// the ctest names would change from build to build.
+void PrintTo(const FeatureCase& c, std::ostream* os) { *os << c.name; }
 
 class EngineFeatures : public ::testing::TestWithParam<FeatureCase> {
  protected:

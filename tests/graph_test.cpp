@@ -738,6 +738,9 @@ struct DatasetCase {
   DatasetId id;
   const char* abbrev;
 };
+// By name: gtest would print the raw bytes, `abbrev`'s address among them,
+// so the ctest names would change from build to build.
+void PrintTo(const DatasetCase& c, std::ostream* os) { *os << c.abbrev; }
 
 class DatasetShape : public ::testing::TestWithParam<DatasetCase> {};
 

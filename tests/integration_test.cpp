@@ -1,19 +1,27 @@
 // Cross-engine integration tests: all four execution paths (host reference,
 // FlashWalker, GraphWalker, DrunkardMob) run the same workload over the
-// same graph and must agree statistically; plus end-to-end runs at kSmall
-// scale with the full bench-style configuration.
+// same graph and must agree statistically; every engine that holds walks
+// in rw::Walk records enforces the same walk-length limit; plus end-to-end
+// runs at kSmall scale with the full bench-style configuration.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "accel/builder.hpp"
 #include "accel/engine.hpp"
 #include "baseline/drunkardmob.hpp"
+#include "baseline/graphssd.hpp"
 #include "baseline/graphwalker.hpp"
+#include "baseline/knightking.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "rw/algorithms.hpp"
+#include "rw/walk.hpp"
 
 namespace fw {
 namespace {
@@ -140,6 +148,71 @@ TEST(CrossEngine, BiasedDistributionsAgree) {
   auto engine = accel::SimulationBuilder(pg).options(opts).build();
   const auto r = engine.run();
   EXPECT_LT(l1_distance(ref.visit_counts, r.visit_counts), 0.30);
+}
+
+/// `run(spec)` builds one engine for `spec`, runs it and returns the hops
+/// it took. Over a ring every walk takes all its hops, so a run of
+/// kMaxWalkLength shows the hop counter holds it; one hop more must be
+/// rejected with the value and the limit, not wrap.
+template <typename Run>
+void expect_walk_length_limit(const std::string& engine, Run run) {
+  rw::WalkSpec spec;
+  spec.num_walks = 2;
+  spec.seed = 5;
+  spec.length = rw::kMaxWalkLength;
+  EXPECT_EQ(run(spec), spec.num_walks * rw::kMaxWalkLength) << engine;
+  spec.length = rw::kMaxWalkLength + 1;
+  try {
+    (void)run(spec);
+    ADD_FAILURE() << engine << " accepted length " << spec.length;
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("32768"), std::string::npos) << engine << ": " << what;
+    EXPECT_NE(what.find("limit of 32767"), std::string::npos) << engine << ": " << what;
+  }
+}
+
+TEST(CrossEngine, MaxWalkLengthRunsAndOneMoreIsRejected) {
+  // A directed ring: one out-edge per vertex, so no walk ends early.
+  constexpr graph::NeighborId kRing = 64;
+  std::vector<EdgeId> offsets(kRing + 1);
+  std::iota(offsets.begin(), offsets.end(), EdgeId{0});
+  std::vector<graph::NeighborId> next(kRing);
+  for (graph::NeighborId v = 0; v < kRing; ++v) next[v] = (v + 1) % kRing;
+  const graph::CsrGraph g(std::move(offsets), std::move(next));
+  partition::PartitionConfig pc;
+  pc.block_capacity_bytes = 4096;
+  const partition::PartitionedGraph pg(g, pc);
+
+  expect_walk_length_limit("FlashWalker", [&](const rw::WalkSpec& spec) {
+    accel::EngineOptions o;
+    o.ssd = ssd::test_ssd_config();
+    o.spec = spec;
+    return accel::SimulationBuilder(pg).options(o).build().run().metrics.total_hops;
+  });
+  expect_walk_length_limit("GraphWalker", [&](const rw::WalkSpec& spec) {
+    baseline::GraphWalkerOptions o;
+    o.ssd = ssd::test_ssd_config();
+    o.spec = spec;
+    return baseline::GraphWalkerEngine(g, o).run().total_hops;
+  });
+  expect_walk_length_limit("DrunkardMob", [&](const rw::WalkSpec& spec) {
+    baseline::DrunkardMobOptions o;
+    o.ssd = ssd::test_ssd_config();
+    o.spec = spec;
+    return baseline::DrunkardMobEngine(g, o).run().total_hops;
+  });
+  expect_walk_length_limit("GraphSSD", [&](const rw::WalkSpec& spec) {
+    baseline::GraphSsdOptions o;
+    o.ssd = ssd::test_ssd_config();
+    o.spec = spec;
+    return baseline::GraphSsdEngine(g, o).run().total_hops;
+  });
+  expect_walk_length_limit("KnightKing", [&](const rw::WalkSpec& spec) {
+    baseline::KnightKingOptions o;
+    o.spec = spec;
+    return baseline::KnightKingEngine(g, o).run().base.total_hops;
+  });
 }
 
 // --- kSmall end-to-end (bench-shaped config, every dataset) -----------------

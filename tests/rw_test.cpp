@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "common/stats.hpp"
 #include "graph/builder.hpp"
+#include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/transform.hpp"
 #include "rw/algorithms.hpp"
@@ -32,6 +36,94 @@ TEST(Walk, ByteAccounting) {
   EXPECT_EQ(walk_bytes(4), 10u);        // 2 ids + hop counter
   EXPECT_EQ(walk_bytes(8), 18u);
   EXPECT_EQ(walk_bytes(4, true), 6u);   // dense walks drop `cur`
+}
+
+/// Walk's fields at full width, unpacked: the model a packed Walk must match.
+struct WideWalk {
+  VertexId src, cur;
+  std::uint64_t state, rng_state;
+  std::uint32_t id, range_tag;
+  SubgraphId prewalked_sg;
+  std::uint16_t job;
+  std::uint32_t hops_left;
+  bool parked;
+  bool operator==(const WideWalk&) const = default;
+};
+
+WideWalk widen(const Walk& w) {
+  WideWalk out;
+  out.src = w.src;
+  out.cur = w.cur;
+  out.state = w.state;
+  out.rng_state = w.rng_state;
+  out.id = w.id;
+  out.range_tag = w.range_tag;
+  out.prewalked_sg = w.prewalked_sg;
+  out.job = w.job;
+  out.hops_left = w.hops_left;
+  out.parked = w.parked;
+  return out;
+}
+
+TEST(Walk, PackedFieldsKeepTheirFullRange) {
+  // Every field at its largest value, then each one changed on its own:
+  // none may bleed into another, the hop counter and `parked` (which share
+  // a 16-bit word) included.
+  Walk top;
+  top.src = graph::kMaxVertices - 1;
+  top.cur = graph::kMaxVertices - 1;
+  top.state = ~std::uint64_t{0};
+  top.rng_state = ~std::uint64_t{0};
+  top.id = ~std::uint32_t{0};
+  top.range_tag = ~std::uint32_t{0};
+  top.prewalked_sg = kInvalidSubgraph;
+  top.job = ~std::uint16_t{0};
+  top.hops_left = kMaxWalkLength;
+  top.parked = true;
+  const WideWalk wide = widen(top);
+  EXPECT_EQ(wide.src, graph::kMaxVertices - 1);
+  EXPECT_EQ(wide.cur, graph::kMaxVertices - 1);
+  EXPECT_EQ(wide.hops_left, kMaxWalkLength);
+  EXPECT_TRUE(wide.parked);
+  // Reads widen: the top vertex's successor does not wrap to 0.
+  EXPECT_EQ(VertexId{top.cur} + 1, graph::kMaxVertices);
+
+  auto expect_only = [&](auto change) {
+    Walk w = top;
+    WideWalk want = wide;
+    change(w);
+    change(want);
+    EXPECT_EQ(widen(w), want);
+  };
+  expect_only([](auto& w) { w.src = 0; });
+  expect_only([](auto& w) { w.cur = 7; });
+  expect_only([](auto& w) { w.state = 0; });
+  expect_only([](auto& w) { w.rng_state = 0; });
+  expect_only([](auto& w) { w.id = 0; });
+  expect_only([](auto& w) { w.range_tag = 0; });
+  expect_only([](auto& w) { w.prewalked_sg = 0; });
+  expect_only([](auto& w) { w.job = 0; });
+  expect_only([](auto& w) { --w.hops_left; });
+  expect_only([](auto& w) { w.hops_left = 0; });
+  expect_only([](auto& w) { w.parked = false; });
+}
+
+TEST(Walk, HopCountChecksTheLimit) {
+  EXPECT_EQ(hop_count(0), 0u);
+  EXPECT_EQ(hop_count(6), 6u);
+  EXPECT_EQ(hop_count(kMaxWalkLength), kMaxWalkLength);
+  // Past the limit the counter would wrap (65,536 reads as 0), so the
+  // conversion throws, naming the value and the limit.
+  for (const std::uint32_t length : {kMaxWalkLength + 1, 65'536u, 65'537u}) {
+    try {
+      (void)hop_count(length);
+      ADD_FAILURE() << length << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::to_string(length)), std::string::npos) << what;
+      EXPECT_NE(what.find("limit of 32767"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(SampleUnbiased, DeadEndReturnsInvalid) {

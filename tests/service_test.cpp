@@ -15,6 +15,7 @@
 #include "accel/service/jobs_spec.hpp"
 #include "accel/service/walk_service.hpp"
 #include "graph/datasets.hpp"
+#include "rw/walk.hpp"
 
 namespace fw::accel {
 namespace {
@@ -410,6 +411,42 @@ TEST(JobsSpec, ModelValueErrorsNameTheEntryAndKey) {
   const std::string alpha = parse_error("autoreg:alpha=1.5");
   EXPECT_NE(alpha.find("--jobs entry 'autoreg:alpha=1.5'"), std::string::npos) << alpha;
   EXPECT_NE(alpha.find("key 'alpha'"), std::string::npos) << alpha;
+}
+
+TEST(JobsSpec, RejectsSignedNumbers) {
+  // std::stoull reads "-1" as 2^64 - 1; no integer key may wrap like that.
+  // (The repeat count shares the parser; "-1*deepwalk" is left out because
+  // a parser that wraps would build 2^64 - 1 jobs instead of failing.)
+  for (const char* key : {"weight", "length", "walks", "seed", "arrive", "source"}) {
+    const std::string spec = std::string("deepwalk:") + key + "=-1";
+    const std::string what = parse_error(spec);
+    EXPECT_NE(what.find("--jobs entry '" + spec + "'"), std::string::npos) << what;
+    EXPECT_NE(what.find("expected an integer"), std::string::npos) << what;
+  }
+}
+
+TEST(JobsSpec, RejectsValuesPastTheirFieldsWidth) {
+  // Neither truncated into range (length=4294967302 used to run as 6) nor
+  // wrapped by the walk's 15-bit hop counter.
+  const std::string length = parse_error("deepwalk:walks=100,length=4294967302");
+  EXPECT_NE(length.find("--jobs entry 'deepwalk:walks=100,length=4294967302'"),
+            std::string::npos)
+      << length;
+  EXPECT_NE(length.find("length=4294967302 exceeds the limit of 32767"),
+            std::string::npos)
+      << length;
+  const std::string hops = parse_error("deepwalk:length=32768");
+  EXPECT_NE(hops.find("length=32768 exceeds the limit of 32767"), std::string::npos)
+      << hops;
+  const std::string weight = parse_error("deepwalk:weight=4294967296");
+  EXPECT_NE(weight.find("weight=4294967296 exceeds the limit of 4294967295"),
+            std::string::npos)
+      << weight;
+  // Each limit itself is accepted.
+  const auto jobs = service::parse_jobs("deepwalk:length=32767,weight=4294967295", {});
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs[0].spec.length, rw::kMaxWalkLength);
+  EXPECT_EQ(jobs[0].weight, 4294967295u);
 }
 
 TEST(JobsSpec, HelpTextIsGeneratedFromTheRegistry) {
