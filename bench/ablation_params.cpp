@@ -21,6 +21,7 @@ accel::EngineResult run_cfg(const accel::AccelConfig& acfg) {
   opts.spec.num_walks =
       graph::default_walk_count(graph::DatasetId::FS, graph::Scale::kBench) / 2;
   opts.spec.length = 6;
+  opts.spec.seed = bench::bench_seed();
   opts.record_visits = false;
   auto engine = accel::SimulationBuilder(bench::bench_partitioned(graph::DatasetId::FS))
                     .options(opts)

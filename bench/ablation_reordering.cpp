@@ -55,6 +55,7 @@ int main() {
     opts.accel = accel::bench_accel_config();
     opts.spec.num_walks = walks;
     opts.spec.length = 6;
+    opts.spec.seed = bench::bench_seed();
     opts.record_visits = false;
     auto engine = accel::SimulationBuilder(pg).options(opts).build();
     const auto r = engine.run();

@@ -27,6 +27,7 @@ int main() {
       opts.spec.num_walks =
           graph::default_walk_count(graph::DatasetId::FS, graph::Scale::kBench);
       opts.spec.length = 6;
+      opts.spec.seed = bench::bench_seed();
       opts.record_visits = false;
       auto engine = accel::SimulationBuilder(pg).options(opts).build();
       const auto r = engine.run();

@@ -27,6 +27,7 @@ int main() {
     rw::WalkSpec spec;
     spec.num_walks = graph::default_walk_count(id, graph::Scale::kBench);
     spec.length = 6;
+    spec.seed = bench::bench_seed();
 
     std::cout << "\n--- " << bench::dataset_abbrev(id) << " (" << spec.num_walks
               << " walks) ---\n";

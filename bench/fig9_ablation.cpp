@@ -25,6 +25,7 @@ accel::EngineResult run_with(graph::DatasetId id, accel::Features f) {
   }
   opts.spec.num_walks = graph::default_walk_count(id, graph::Scale::kBench);
   opts.spec.length = 6;
+  opts.spec.seed = fw::bench::bench_seed();
   opts.record_visits = false;
   auto engine =
       accel::SimulationBuilder(fw::bench::bench_partitioned(id)).options(opts).build();

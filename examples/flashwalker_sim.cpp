@@ -36,6 +36,7 @@
 #include "graph/io.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
+#include "rw/model/registry.hpp"
 #include "rw/walk.hpp"
 #include "ssd/reliability/options.hpp"
 
@@ -477,6 +478,19 @@ int main(int argc, char** argv) {
       std::cerr << "error: " << e.what() << "\n";
       return 2;
     }
+  }
+
+  // A workload one of the engines cannot run exits 2 before any of them
+  // runs: bad model parameters, or a second-order spec for a baseline.
+  try {
+    (void)rw::create_model(spec);
+    if (cli.run_gw) baseline::require_first_order(spec, "GraphWalker");
+    if (cli.run_dm) baseline::require_first_order(spec, "DrunkardMob");
+    if (cli.run_gs) baseline::require_first_order(spec, "GraphSSD");
+    if (cli.run_tr) baseline::require_first_order(spec, "ThunderRW");
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
   }
 
   std::cout << "workload: " << spec.num_walks << " walks x " << spec.length << " hops"

@@ -1107,16 +1107,15 @@ void FlashWalkerEngine::process_chip(ChipState& c) {
     }
 
     // Guider: compare against the chip's loaded subgraphs. Walks landing on
-    // a dense vertex always rove — the board must pre-walk them.
+    // a dense vertex always rove — the board must pre-walk them — and no
+    // regular subgraph's vertex range holds a dense vertex.
     cost += match_cycles(c.slots.size()) * gcycle;
     LoadedSg* dest = nullptr;
-    if (!pg_->is_dense_vertex(w.cur)) {
-      for (auto& s : c.slots) {
-        if (!s.reported && s.sg != kInvalidSubgraph && !pg_->subgraph(s.sg).dense &&
-            walk_in_sg(w, pg_->subgraph(s.sg))) {
-          dest = &s;
-          break;
-        }
+    for (auto& s : c.slots) {
+      if (!s.reported && s.sg != kInvalidSubgraph && !pg_->subgraph(s.sg).dense &&
+          walk_in_sg(w, pg_->subgraph(s.sg))) {
+        dest = &s;
+        break;
       }
     }
     if (dest != nullptr) {

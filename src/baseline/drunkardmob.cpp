@@ -11,6 +11,7 @@ DrunkardMobEngine::DrunkardMobEngine(const graph::CsrGraph& graph,
       opt_(std::move(options)),
       hops_(rw::hop_count(opt_.spec.length)),
       rng_(opt_.spec.seed) {
+  require_first_order(opt_.spec, "DrunkardMob");
   partition::PartitionConfig pc;
   pc.block_capacity_bytes = opt_.host.block_bytes;
   pc.subgraphs_per_partition = 1u << 30;

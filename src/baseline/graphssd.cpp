@@ -43,6 +43,7 @@ GraphSsdEngine::GraphSsdEngine(const graph::CsrGraph& graph, GraphSsdOptions opt
       opt_(std::move(options)),
       hops_(rw::hop_count(opt_.spec.length)),
       rng_(opt_.spec.seed) {
+  require_first_order(opt_.spec, "GraphSSD");
   flash_ = std::make_unique<ssd::FlashArray>(opt_.ssd);
   ssd_ = std::make_unique<ssd::SsdDevice>(*flash_);
   nvme_ = std::make_unique<ssd::NvmeInterface>(*ssd_, opt_.nvme);

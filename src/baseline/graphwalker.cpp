@@ -12,6 +12,7 @@ GraphWalkerEngine::GraphWalkerEngine(const graph::CsrGraph& graph,
       opt_(std::move(options)),
       hops_(rw::hop_count(opt_.spec.length)),
       rng_(opt_.spec.seed) {
+  require_first_order(opt_.spec, "GraphWalker");
   partition::PartitionConfig pc;
   pc.block_capacity_bytes = opt_.host.block_bytes;
   pc.subgraphs_per_partition = 1u << 30;  // GraphWalker has no partitions

@@ -7,9 +7,13 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 
 #include "common/types.hpp"
 #include "common/units.hpp"
+#include "rw/spec.hpp"
 
 namespace fw::baseline {
 
@@ -47,5 +51,15 @@ struct TimeBreakdown {
     return graph_load + walk_load + walk_write + compute;
   }
 };
+
+/// The baselines step first-order walks only. Throws std::invalid_argument
+/// naming `engine` for a second-order (node2vec) spec, which it would
+/// otherwise run as DeepWalk.
+inline void require_first_order(const rw::WalkSpec& spec, std::string_view engine) {
+  if (spec.second_order.enabled) {
+    throw std::invalid_argument(std::string(engine) +
+                                ": second-order (node2vec) walks are not supported");
+  }
+}
 
 }  // namespace fw::baseline

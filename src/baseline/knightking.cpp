@@ -11,6 +11,7 @@ KnightKingEngine::KnightKingEngine(const graph::CsrGraph& graph,
       opt_(std::move(options)),
       hops_(rw::hop_count(opt_.spec.length)),
       rng_(opt_.spec.seed) {
+  require_first_order(opt_.spec, "KnightKing");
   if (opt_.workers == 0) throw std::invalid_argument("KnightKing: zero workers");
   vertices_per_worker_ =
       (graph.num_vertices() + opt_.workers - 1) / opt_.workers;

@@ -16,6 +16,7 @@ PartitionedGraph::PartitionedGraph(const graph::CsrGraph& graph, PartitionConfig
       id_bytes_ + (config_.weighted && graph.weighted() ? sizeof(float) : 0);
   edges_per_block_ = std::max<EdgeId>(1, config_.block_capacity_bytes / bytes_per_edge);
   build_subgraphs();
+  build_lookup();
   build_in_degrees();
   num_partitions_ = (num_subgraphs() + config_.subgraphs_per_partition - 1) /
                     config_.subgraphs_per_partition;
@@ -24,7 +25,6 @@ PartitionedGraph::PartitionedGraph(const graph::CsrGraph& graph, PartitionConfig
 void PartitionedGraph::build_subgraphs() {
   const auto& g = *graph_;
   const VertexId n = g.num_vertices();
-  vertex_to_subgraph_.assign(n, kInvalidSubgraph);
 
   const std::uint64_t bytes_per_edge =
       id_bytes_ + (config_.weighted && g.weighted() ? sizeof(float) : 0);
@@ -43,9 +43,6 @@ void PartitionedGraph::build_subgraphs() {
     sg.dense = dense;
     sg.dense_block_index = dense_idx;
     sg.payload_bytes = payload;
-    for (VertexId v = low; v <= high; ++v) {
-      if (vertex_to_subgraph_[v] == kInvalidSubgraph) vertex_to_subgraph_[v] = sg.id;
-    }
     subgraphs_.push_back(sg);
   };
 
@@ -101,14 +98,47 @@ void PartitionedGraph::build_subgraphs() {
   }
 }
 
+void PartitionedGraph::build_lookup() {
+  const auto first_dense_block = [](const Subgraph& sg) {
+    return sg.dense && sg.dense_block_index == 0;
+  };
+  const auto dense = std::ranges::count_if(subgraphs_, first_dense_block);
+  first_vertex_.reserve(subgraphs_.size());
+  dense_vertices_.reserve(static_cast<std::size_t>(dense));
+  for (const Subgraph& sg : subgraphs_) {
+    const auto v = static_cast<graph::NeighborId>(sg.low_vid);
+    first_vertex_.push_back(v);
+    if (first_dense_block(sg)) dense_vertices_.push_back(v);
+  }
+}
+
 void PartitionedGraph::build_in_degrees() {
   in_degree_sums_.assign(subgraphs_.size(), 0);
   // Count each incoming edge against the subgraph owning the destination
-  // (the first block of a dense vertex).
+  // (the first block of a dense vertex). A per-vertex owner table makes that
+  // one read per edge, where a search per edge is markedly slower; it lives
+  // only for this pass.
+  std::vector<SubgraphId> owner(graph_->num_vertices(), kInvalidSubgraph);
+  for (const Subgraph& sg : subgraphs_) {
+    if (sg.dense_block_index != 0) continue;
+    std::fill_n(&owner[sg.low_vid], sg.vertex_count(), sg.id);
+  }
   for (VertexId dst : graph_->edges()) {
-    const SubgraphId sg = vertex_to_subgraph_[dst];
+    const SubgraphId sg = owner[dst];
     if (sg != kInvalidSubgraph) ++in_degree_sums_[sg];
   }
+}
+
+SubgraphId PartitionedGraph::subgraph_of(VertexId v) const {
+  // Subgraphs run in vertex order and share a vertex only where a dense
+  // vertex's blocks do. So the first subgraph starting at v holds it (a run,
+  // or the dense vertex's first block); otherwise v lies in the subgraph
+  // before that one, unless it ends short of v. Only a dense vertex with no
+  // edges, whose header alone overflows a block, has no subgraph.
+  const auto it = std::lower_bound(first_vertex_.begin(), first_vertex_.end(), v);
+  const auto idx = static_cast<SubgraphId>(it - first_vertex_.begin());
+  if (it != first_vertex_.end() && *it == v) return idx;
+  return idx > 0 && subgraphs_[idx - 1].high_vid >= v ? idx - 1 : kInvalidSubgraph;
 }
 
 std::pair<SubgraphId, SubgraphId> PartitionedGraph::partition_range(PartitionId p) const {
@@ -116,11 +146,6 @@ std::pair<SubgraphId, SubgraphId> PartitionedGraph::partition_range(PartitionId 
   const SubgraphId last =
       std::min<SubgraphId>(num_subgraphs(), first + config_.subgraphs_per_partition);
   return {first, last};
-}
-
-bool PartitionedGraph::is_dense_vertex(VertexId v) const {
-  const SubgraphId sg = vertex_to_subgraph_[v];
-  return sg != kInvalidSubgraph && subgraphs_[sg].dense;
 }
 
 std::vector<SubgraphId> PartitionedGraph::top_k_popular(

@@ -1,7 +1,11 @@
 // The partitioned view of a graph: subgraph list, partition boundaries, and
 // per-subgraph popularity (in-degree sums) used for hot-subgraph selection.
+// Like the modeled board, it keeps no per-vertex table: a vertex's subgraph
+// is found by searching the subgraphs' first vertices, and dense vertices
+// are a sorted list.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -31,12 +35,15 @@ class PartitionedGraph {
   /// Subgraph ID range [first, last) of a partition.
   [[nodiscard]] std::pair<SubgraphId, SubgraphId> partition_range(PartitionId p) const;
 
-  /// Exact subgraph containing `v` (the first block for a dense vertex).
-  /// This is simulator-side ground truth; accelerator-visible lookups with
-  /// timing go through SubgraphMappingTable.
-  [[nodiscard]] SubgraphId subgraph_of(VertexId v) const { return vertex_to_subgraph_[v]; }
+  /// Exact subgraph containing `v` (the first block for a dense vertex), or
+  /// kInvalidSubgraph when none does. This is simulator-side ground truth;
+  /// accelerator-visible lookups with timing go through SubgraphMappingTable.
+  [[nodiscard]] SubgraphId subgraph_of(VertexId v) const;
 
-  [[nodiscard]] bool is_dense_vertex(VertexId v) const;
+  /// Whether `v` is split across graph blocks (pre-walked at the board).
+  [[nodiscard]] bool is_dense_vertex(VertexId v) const {
+    return std::binary_search(dense_vertices_.begin(), dense_vertices_.end(), v);
+  }
 
   /// Edges per graph block — size(gb) in the paper's pre-walking formula.
   [[nodiscard]] EdgeId edges_per_block() const { return edges_per_block_; }
@@ -55,6 +62,7 @@ class PartitionedGraph {
 
  private:
   void build_subgraphs();
+  void build_lookup();
   void build_in_degrees();
 
   const graph::CsrGraph* graph_;
@@ -63,7 +71,8 @@ class PartitionedGraph {
   EdgeId edges_per_block_;
   std::uint32_t num_partitions_ = 0;
   std::vector<Subgraph> subgraphs_;
-  std::vector<SubgraphId> vertex_to_subgraph_;
+  std::vector<graph::NeighborId> first_vertex_;    ///< low_vid of each subgraph
+  std::vector<graph::NeighborId> dense_vertices_;  ///< ascending
   std::vector<std::uint64_t> in_degree_sums_;
 };
 

@@ -134,6 +134,20 @@ TEST(Thunder, RefusesOversizedGraph) {
   EXPECT_THROW(baseline::ThunderEngine(g, opts), std::invalid_argument);
 }
 
+TEST(Thunder, RejectsSecondOrderSpecNamingItself) {
+  const auto g = graph::make_dataset(graph::DatasetId::TT, graph::Scale::kTest);
+  baseline::ThunderOptions opts;
+  opts.ssd = ssd::test_ssd_config();
+  opts.host.memory_bytes = 64 * MiB;
+  opts.spec.second_order.enabled = true;
+  try {
+    baseline::ThunderEngine engine(g, opts);
+    ADD_FAILURE() << "ThunderRW accepted a second-order spec";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("ThunderRW"), std::string::npos) << e.what();
+  }
+}
+
 TEST(Thunder, FasterThanGraphWalkerWhenBothFit) {
   // In-memory step-centric execution beats the out-of-core loop even when
   // GraphWalker's cache holds the whole graph (no bucket management).

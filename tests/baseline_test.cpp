@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "baseline/drunkardmob.hpp"
 #include "baseline/graphwalker.hpp"
@@ -149,6 +151,19 @@ TEST(GraphWalkerBiased, WeightedWalks) {
   EXPECT_EQ(engine.run().walks_completed, 1000u);
 }
 
+TEST_F(GraphWalkerBasic, RejectsSecondOrderSpecNamingItself) {
+  // GraphWalker steps first-order walks only: a node2vec spec would run as
+  // DeepWalk and compare two different workloads.
+  auto opts = gw_opts();
+  opts.spec.second_order.enabled = true;
+  try {
+    GraphWalkerEngine engine(g_, opts);
+    ADD_FAILURE() << "GraphWalker accepted a second-order spec";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("GraphWalker"), std::string::npos) << e.what();
+  }
+}
+
 // --- DrunkardMob -------------------------------------------------------------
 
 TEST(DrunkardMob, AllWalksComplete) {
@@ -194,6 +209,19 @@ TEST(DrunkardMob, WalkWriteTrafficEveryIteration) {
   const auto r = engine.run();
   EXPECT_GT(r.bytes_written, 0u);
   EXPECT_GT(r.breakdown.walk_write, 0u);
+}
+
+TEST(DrunkardMob, RejectsSecondOrderSpecNamingItself) {
+  const auto g = graph::make_dataset(graph::DatasetId::TT, graph::Scale::kTest);
+  DrunkardMobOptions opts;
+  opts.ssd = ssd::test_ssd_config();
+  opts.spec.second_order.enabled = true;
+  try {
+    DrunkardMobEngine engine(g, opts);
+    ADD_FAILURE() << "DrunkardMob accepted a second-order spec";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("DrunkardMob"), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace

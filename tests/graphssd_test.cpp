@@ -2,6 +2,9 @@
 // behaviour, and positioning between GraphWalker and FlashWalker.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "accel/builder.hpp"
 #include "accel/engine.hpp"
 #include "baseline/graphssd.hpp"
@@ -87,6 +90,18 @@ TEST(GraphSsd, InStorageWalkingStillWins) {
   GraphSsdEngine gs(g, opts);
   const auto r = gs.run();
   EXPECT_LT(fw.exec_time, r.exec_time);
+}
+
+TEST(GraphSsd, RejectsSecondOrderSpecNamingItself) {
+  const auto g = graph::make_dataset(graph::DatasetId::TT, graph::Scale::kTest);
+  GraphSsdOptions opts = gs_opts();
+  opts.spec.second_order.enabled = true;
+  try {
+    GraphSsdEngine engine(g, opts);
+    ADD_FAILURE() << "GraphSSD accepted a second-order spec";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("GraphSSD"), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace

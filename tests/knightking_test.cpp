@@ -2,6 +2,9 @@
 // communication accounting, and scaling behaviour.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "baseline/knightking.hpp"
 #include "graph/datasets.hpp"
 #include "rw/algorithms.hpp"
@@ -91,6 +94,18 @@ TEST(KnightKing, RejectsZeroWorkers) {
   KnightKingOptions o;
   o.workers = 0;
   EXPECT_THROW(KnightKingEngine(g, o), std::invalid_argument);
+}
+
+TEST(KnightKing, RejectsSecondOrderSpecNamingItself) {
+  const auto g = graph::make_dataset(graph::DatasetId::TT, graph::Scale::kTest);
+  KnightKingOptions o = kk_opts();
+  o.spec.second_order.enabled = true;
+  try {
+    KnightKingEngine engine(g, o);
+    ADD_FAILURE() << "KnightKing accepted a second-order spec";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("KnightKing"), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Bounds on what graph set-up, graph loading and walk queues hold on the host
-// heap.
+// Bounds on what graph set-up, graph loading, partitioning and walk queues
+// hold on the host heap.
 //
 // This binary replaces the global operator new/delete with a pair that
 // tracks live bytes and their high-water mark, so a test can bound what a
@@ -24,6 +24,7 @@
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "partition/partitioned_graph.hpp"
 
 namespace {
 
@@ -102,6 +103,26 @@ TEST(SetupMemory, CsrHoldsFourBytesPerNeighbor) {
   const std::uint64_t held = live_bytes() - before;
   ASSERT_EQ(g.num_vertices(), p.num_vertices);
   EXPECT_EQ(held, 8 * (g.num_vertices() + 1) + 4 * g.num_edges());
+}
+
+TEST(PartitionMemory, RetainsAtMostOneBitPerVertexPlusPerSubgraphState) {
+  // The partition keeps per-subgraph tables and the dense-vertex list, no
+  // per-vertex table: a 4-byte subgraph ID per vertex would hold 4 MiB here.
+  graph::RmatParams p;
+  p.num_vertices = 1 << 20;
+  p.num_edges = 1 << 22;
+  p.seed = 5;
+  const graph::CsrGraph g = graph::generate_rmat(p);
+  const std::uint64_t before = live_bytes();
+  const partition::PartitionedGraph pg(g, partition::PartitionConfig{});
+  const std::uint64_t held = live_bytes() - before;
+  ASSERT_EQ(g.num_vertices(), p.num_vertices);
+  ASSERT_GT(pg.num_subgraphs(), 100u);
+  // Per subgraph: its record, at most twice over while the list grows, a
+  // first vertex, an in-degree sum and at most one dense-vertex entry.
+  const std::uint64_t per_subgraph = 2 * sizeof(partition::Subgraph) + 4 + 8 + 4;
+  EXPECT_LE(held, g.num_vertices() / 8 + pg.num_subgraphs() * per_subgraph)
+      << pg.num_subgraphs() << " subgraphs";
 }
 
 TEST(LoadMemory, CorruptCountAllocatesOnlyWhatArrived) {

@@ -1,8 +1,12 @@
-// Partitioner invariants, subgraph mapping table (exact + range + in-range
+// Partitioner invariants, subgraph and dense-vertex lookups against a
+// brute-force reference, subgraph mapping table (exact + range + in-range
 // searches), and the dense-vertices mapping table.
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/datasets.hpp"
@@ -155,6 +159,125 @@ TEST(Partitioner, SingleVertexGraph) {
   const PartitionedGraph pg(g, small_config());
   EXPECT_EQ(pg.num_subgraphs(), 1u);
   EXPECT_EQ(pg.subgraph_of(0), 0u);
+}
+
+// --- Lookups against a brute-force reference ------------------------------------
+
+/// The lowest-id subgraph whose vertex range holds each vertex, or
+/// kInvalidSubgraph, found by scanning every subgraph.
+std::vector<SubgraphId> reference_owners(const PartitionedGraph& pg) {
+  std::vector<SubgraphId> owner(pg.graph().num_vertices(), kInvalidSubgraph);
+  for (const Subgraph& sg : pg.subgraphs()) {
+    for (VertexId v = sg.low_vid; v <= sg.high_vid; ++v) {
+      if (owner[v] == kInvalidSubgraph) owner[v] = sg.id;
+    }
+  }
+  return owner;
+}
+
+/// subgraph_of, is_dense_vertex and subgraph_in_degrees against the scan.
+void expect_lookups_match_reference(const PartitionedGraph& pg) {
+  const graph::CsrGraph& g = pg.graph();
+  const std::vector<SubgraphId> owner = reference_owners(pg);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_EQ(pg.subgraph_of(v), owner[v]) << "vertex " << v;
+    const bool dense = owner[v] != kInvalidSubgraph && pg.subgraph(owner[v]).dense;
+    ASSERT_EQ(pg.is_dense_vertex(v), dense) << "vertex " << v;
+  }
+  std::vector<std::uint64_t> in_degrees(pg.num_subgraphs(), 0);
+  for (const VertexId dst : g.edges()) {
+    if (owner[dst] != kInvalidSubgraph) ++in_degrees[owner[dst]];
+  }
+  EXPECT_EQ(pg.subgraph_in_degrees(), in_degrees);
+}
+
+struct DatasetCase {
+  graph::DatasetId id;
+  const char* abbrev;
+};
+// By name: gtest would print the raw bytes, `abbrev`'s address among them,
+// so the ctest names would change from build to build.
+void PrintTo(const DatasetCase& c, std::ostream* os) { *os << c.abbrev; }
+
+class LookupSweep : public ::testing::TestWithParam<DatasetCase> {};
+
+TEST_P(LookupSweep, MatchesBruteForceAtEveryBlockSize) {
+  const graph::CsrGraph plain = graph::make_dataset(GetParam().id, graph::Scale::kTest);
+  const graph::CsrGraph weighted(plain.offsets(), plain.edges(),
+                                 std::vector<float>(plain.num_edges(), 1.0f));
+  graph::CsrGraph labeled = plain;
+  labeled.assign_hashed_labels(3, 11);
+
+  // From 3 bytes, under one vertex header, so that every vertex is dense and
+  // those without edges have no subgraph, up to 64 KiB.
+  for (const std::uint64_t block_bytes : {3u, 8u, 64u, 1024u, 16384u, 65536u}) {
+    SCOPED_TRACE("block_bytes " + std::to_string(block_bytes));
+    PartitionConfig pc;
+    pc.block_capacity_bytes = block_bytes;
+    pc.subgraphs_per_partition = 8;
+    expect_lookups_match_reference(PartitionedGraph(plain, pc));
+    pc.weighted = true;
+    expect_lookups_match_reference(PartitionedGraph(weighted, pc));
+    pc.weighted = false;
+    pc.labeled = true;
+    expect_lookups_match_reference(PartitionedGraph(labeled, pc));
+    if (HasFatalFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDatasets, LookupSweep,
+                         ::testing::Values(DatasetCase{graph::DatasetId::TT, "TT"},
+                                           DatasetCase{graph::DatasetId::FS, "FS"},
+                                           DatasetCase{graph::DatasetId::CW, "CW"},
+                                           DatasetCase{graph::DatasetId::R2B, "R2B"},
+                                           DatasetCase{graph::DatasetId::R8B, "R8B"}),
+                         [](const auto& param_info) { return param_info.param.abbrev; });
+
+/// Ten vertices at 64-byte blocks (a 4-byte header, 16 edges a block): a
+/// vertex with 16 or more edges is dense. Vertex 0 (dense, 40 edges) comes
+/// first and 9 (dense, 33 edges) last; 4 (20 edges) and 5 (16) are adjacent
+/// dense vertices; 3, 6 and 8 have no edges.
+graph::CsrGraph hand_built_graph() {
+  constexpr EdgeId kDegrees[10] = {40, 5, 3, 0, 20, 16, 0, 2, 0, 33};
+  graph::GraphBuilder b(10);
+  for (VertexId v = 0; v < 10; ++v) {
+    for (EdgeId i = 0; i < kDegrees[v]; ++i) b.add_edge(v, (v + 1 + i) % 10);
+  }
+  return std::move(b).build();
+}
+
+TEST(PartitionLookups, HandBuiltDenseAndEmptyVertices) {
+  const auto g = hand_built_graph();
+  PartitionConfig pc;
+  pc.block_capacity_bytes = 64;
+  const PartitionedGraph pg(g, pc);
+  // Blocks 0-2 hold vertex 0, run 3 vertices 1-3, blocks 4-5 vertex 4,
+  // block 6 vertex 5, run 7 vertices 6-8, blocks 8-10 vertex 9.
+  ASSERT_EQ(pg.num_subgraphs(), 11u);
+  constexpr SubgraphId kExpected[10] = {0, 3, 3, 3, 4, 6, 7, 7, 7, 8};
+  for (VertexId v = 0; v < 10; ++v) {
+    EXPECT_EQ(pg.subgraph_of(v), kExpected[v]) << "vertex " << v;
+    const bool dense = v == 0 || v == 4 || v == 5 || v == 9;
+    EXPECT_EQ(pg.is_dense_vertex(v), dense) << "vertex " << v;
+  }
+  expect_lookups_match_reference(pg);
+}
+
+TEST(PartitionLookups, VertexWithoutEdgesHasNoSubgraphWhenHeaderOverflowsBlock) {
+  // Under a 4-byte header every vertex is dense: one block per edge, and
+  // none for a vertex without edges, which is then neither found nor dense.
+  const auto g = hand_built_graph();
+  PartitionConfig pc;
+  pc.block_capacity_bytes = 2;
+  const PartitionedGraph pg(g, pc);
+  EXPECT_EQ(pg.num_subgraphs(), g.num_edges());
+  for (const VertexId v : {3u, 6u, 8u}) {
+    EXPECT_EQ(pg.subgraph_of(v), kInvalidSubgraph) << "vertex " << v;
+    EXPECT_FALSE(pg.is_dense_vertex(v)) << "vertex " << v;
+  }
+  EXPECT_EQ(pg.subgraph_of(1), 40u);  // after vertex 0's 40 one-edge blocks
+  EXPECT_TRUE(pg.is_dense_vertex(1));
+  expect_lookups_match_reference(pg);
 }
 
 // --- Mapping table -------------------------------------------------------------
