@@ -3,29 +3,20 @@
 
 Usage:
     python3 bench/regression.py --baseline BENCH_sim.json \
-        --current /tmp/current.json [--max-drop 0.20] [--absolute]
+        --current /tmp/current.json
 
 Exit status 0 = within budget, 1 = regression, 2 = bad input.
 
 What is gated, and why
 ----------------------
-1. `queue_speedup` (always): bucketed-queue events/sec divided by the
-   frozen legacy-heap events/sec *measured in the same binary on the same
-   machine*. The ratio cancels out host speed, so it is the portable proxy
-   for "did the DES hot path regress". A drop > --max-drop fails.
-
-2. `sim_exec_ns` (when the e2e configs match): the simulated exec time for
+1. `sim_exec_ns` (when the e2e configs match): the simulated exec time for
    a fixed (dataset, scale, walks, seed) is bit-deterministic — it must
    EQUAL the baseline on any machine. A mismatch means either a
    determinism bug or an intentional timing-model change; for the latter,
    refresh the baseline in the same PR (see docs/MODELING.md, "The DES
    kernel").
 
-3. `bucketed_events_per_sec` (only with --absolute): raw throughput is
-   only comparable on the machine that produced the baseline, so this
-   check is opt-in for local tuning runs; CI uses the speedup gate.
-
-4. `service_mix` (when both reports carry the section): every mix's
+2. `service_mix` (when both reports carry the section): every mix's
    simulated makespan_ns is deterministic and must EQUAL the baseline
    (same refresh rule as sim_exec_ns), and uniform equal-priority mixes
    must hold the weighted-fair scheduler's <= 2x fairness bound. The
@@ -34,7 +25,7 @@ What is gated, and why
    check_models gate), and models marked `legacy` (pre-plugin,
    byte-identity-pinned) must reproduce the baseline makespan exactly.
 
-5. `parallel` (when the current report carries the section, i.e. the
+3. `parallel` (when the current report carries the section, i.e. the
    bench ran with --parallel): `determinism_ok` must be true — identical
    checksums and event counts across 1/2/4/8 workers are the whole
    contract of the conservative-lookahead design. The 8-worker speedup
@@ -46,20 +37,20 @@ What is gated, and why
    min(hw_threads, 8) workers, the host's own thread count, as an
    informational line.
 
-6. `engine_parallel` (same trigger as 5): the full FlashWalker engine at
+4. `engine_parallel` (same trigger as 3): the full FlashWalker engine at
    1/2/4/8 DES workers. `determinism_ok` (identical sim_exec_ns / hop /
    walk totals across worker counts) is gated unconditionally — it holds
    even on a single-core host. The 8-worker walks/sec speedup floor
    (--engine-floor, default 2.5x over the 1-worker run) is gated only
    when `hw_threads >= 8`, like the raw-DES floor.
 
-7. `array_scaling` (multi-SSD array): `determinism_ok` (byte-identical
+5. `array_scaling` (multi-SSD array): `determinism_ok` (byte-identical
    array reports across --sim-threads 1/8 at every device count) is gated
    unconditionally. The 4-device aggregate walks/sec ratio over the
    single-device run (--array-floor, default 2.0) is gated only when
    `hw_threads >= 8`, like the other scaling floors.
 
-8. `board_hub` (same trigger as 5): the shard-audit breakdown of the
+6. `board_hub` (same trigger as 3): the shard-audit breakdown of the
    board-shard serial hub — event share, windowed handoff batches,
    cross-shard sends per hop. `determinism_ok` (the audit stream itself
    identical across 1/2/4/8 workers) is gated unconditionally; the share
@@ -236,7 +227,7 @@ def check_parallel(base, cur, floor, failures):
                        par.get("serial_events_per_sec", 0))
 
 
-def check_engine_parallel(base, cur, floor, serial_floor, max_drop, failures):
+def check_engine_parallel(base, cur, floor, serial_floor, failures):
     """Gate the concurrent-engine section: hard determinism, conditional
     speedup, and (opt-in) a serial-throughput floor so parallel wins cannot
     be bought by slowing the 1-worker path down."""
@@ -266,7 +257,7 @@ def check_engine_parallel(base, cur, floor, serial_floor, max_drop, failures):
     serial = cur.get("engine_parallel", {}).get(
         "workers_walks_per_sec", {}).get("1", 0)
     if serial_floor is not None:
-        # Explicit absolute floor: same-machine runs only (like --absolute).
+        # Explicit absolute floor: same-machine runs only.
         verdict = "ok" if serial >= serial_floor else "REGRESSION"
         print(f"engine_parallel.workers_walks_per_sec[1]: {serial} "
               f"(floor {serial_floor}) [{verdict}]")
@@ -326,10 +317,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--baseline", required=True)
     ap.add_argument("--current", required=True)
-    ap.add_argument("--max-drop", type=float, default=0.20,
-                    help="allowed fractional drop in gated rates (default 0.20)")
-    ap.add_argument("--absolute", action="store_true",
-                    help="also gate raw bucketed_events_per_sec (same-machine runs only)")
     ap.add_argument("--parallel-floor", type=float, default=3.0,
                     help="minimum 8-worker speedup over the serial sharded "
                          "baseline, gated only on hosts with >= 8 hardware "
@@ -344,7 +331,7 @@ def main():
                          "hardware threads (default 2.0)")
     ap.add_argument("--serial-floor", type=float, default=None,
                     help="absolute floor on the 1-worker concurrent-engine "
-                         "walks/sec (same-machine runs only, like --absolute); "
+                         "walks/sec (same-machine runs only); "
                          "guards against buying parallel speedup by slowing "
                          "the serial path. Off by default.")
     args = ap.parse_args()
@@ -352,23 +339,6 @@ def main():
     base = load(args.baseline)
     cur = load(args.current)
     failures = []
-
-    def gate_rate(name, base_v, cur_v):
-        floor = base_v * (1.0 - args.max_drop)
-        verdict = "ok" if cur_v >= floor else "REGRESSION"
-        print(f"{name}: baseline {base_v:.4g}  current {cur_v:.4g}  "
-              f"floor {floor:.4g}  [{verdict}]")
-        if cur_v < floor:
-            failures.append(name)
-
-    gate_rate("queue_speedup", base["queue_speedup"], cur["queue_speedup"])
-
-    if args.absolute:
-        gate_rate("bucketed_events_per_sec", base["bucketed_events_per_sec"],
-                  cur["bucketed_events_per_sec"])
-    else:
-        print(f"bucketed_events_per_sec: baseline {base['bucketed_events_per_sec']}  "
-              f"current {cur['bucketed_events_per_sec']}  [informational]")
 
     if e2e_config(base) == e2e_config(cur):
         b_ns, c_ns = base["e2e"]["sim_exec_ns"], cur["e2e"]["sim_exec_ns"]
@@ -378,17 +348,18 @@ def main():
             failures.append("sim_exec_ns")
             print("  simulated time diverged for an identical config+seed: either a\n"
                   "  determinism bug or an intentional model change. If intentional,\n"
-                  "  regenerate the baseline (bench/sim_hotpath --quick --out\n"
-                  "  BENCH_sim.json, then bench/service_mix --merge-into\n"
-                  "  BENCH_sim.json) and commit it with the change.", file=sys.stderr)
+                  "  regenerate the baseline (bench/sim_hotpath --quick --parallel\n"
+                  "  --out BENCH_sim.json, then bench/service_mix --merge-into\n"
+                  "  BENCH_sim.json and bench/array_scaling --walks 5000\n"
+                  "  --merge-into BENCH_sim.json) and commit it with the change.",
+                  file=sys.stderr)
     else:
         print(f"sim_exec_ns: configs differ ({e2e_config(base)} vs {e2e_config(cur)}), "
               "determinism check skipped")
 
     check_service_mix(base, cur, failures)
     check_parallel(base, cur, args.parallel_floor, failures)
-    check_engine_parallel(base, cur, args.engine_floor, args.serial_floor,
-                          args.max_drop, failures)
+    check_engine_parallel(base, cur, args.engine_floor, args.serial_floor, failures)
     check_board_hub(base, cur, failures)
     check_array(base, cur, args.array_floor, failures)
 

@@ -22,8 +22,6 @@ REGRESSION = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 def minimal_report(**extra):
     report = {
         "schema": "fw-bench-sim/2",
-        "queue_speedup": 5.0,
-        "bucketed_events_per_sec": 1e6,
         "seed": 42,
         "e2e": {"dataset": "TT", "scale": "test", "walks": 1000,
                 "sim_exec_ns": 12345},

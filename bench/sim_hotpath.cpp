@@ -1,31 +1,20 @@
-// DES hot-path benchmark: event-queue throughput + end-to-end walk rate.
+// DES hot-path benchmark: end-to-end walk rate, plus (with --parallel) the
+// sharded parallel DES and the concurrent engine at 1/2/4/8 workers.
 //
-// Two measurements, both emitted as JSON (BENCH_sim.json) so
-// bench/regression.py can track the trajectory across PRs:
+// Every measurement is emitted as JSON (BENCH_sim.json) so
+// bench/regression.py can track the trajectory across PRs. The end-to-end
+// section runs the FlashWalker engine (hops/sec wall-clock) on a
+// dataset/scale of choice and records the simulated exec_time, which is
+// deterministic for a fixed seed and doubles as a cross-machine regression
+// guard.
 //
-//  1. Events/sec through the kernel loop (push one / pop one at steady
-//     state, ~4K in-flight events) with delays drawn from the Table III
-//     latency mixture the engine actually schedules — accelerator cycles,
-//     DRAM accesses, channel transfers, roving polls, flash reads/programs,
-//     erases. Run against both the current bucketed EventQueue and a
-//     faithful copy of the pre-optimization binary heap of std::function
-//     closures (`LegacyEventQueue` below), giving a same-binary speedup
-//     number that is meaningful across machines.
-//
-//  2. End-to-end FlashWalker engine throughput (hops/sec wall-clock) on a
-//     dataset/scale of choice, plus the simulated exec_time, which is
-//     deterministic for a fixed seed and doubles as a cross-machine
-//     regression guard.
-//
-// Usage: sim_hotpath [--out FILE] [--events N] [--dataset TT] [--scale
-// test|small|bench] [--walks N] [--seed N] [--quick]
+// Usage: sim_hotpath [--out FILE] [--dataset TT] [--scale test|small|bench]
+// [--walks N] [--seed N] [--parallel] [--par-events N] [--quick]
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <iostream>
-#include <queue>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,7 +26,6 @@
 #include "bench_common.hpp"
 #include "common/options.hpp"
 #include "common/rng.hpp"
-#include "common/units.hpp"
 #include "graph/datasets.hpp"
 #include "partition/partitioned_graph.hpp"
 #include "sim/event_queue.hpp"
@@ -45,91 +33,6 @@
 
 namespace fw::bench {
 namespace {
-
-/// The event queue this PR replaced, verbatim: a std::priority_queue of
-/// heap-allocating std::function closures. Kept here (not in src/) purely
-/// as the microbench comparison point.
-class LegacyEventQueue {
- public:
-  using Fn = std::function<void()>;
-
-  void push(Tick at, Fn fn) { heap_.push(Event{at, next_seq_++, std::move(fn)}); }
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-
-  std::pair<Tick, Fn> pop() {
-    const Event& top = heap_.top();
-    std::pair<Tick, Fn> result{top.at, std::move(top.fn)};
-    heap_.pop();
-    return result;
-  }
-
- private:
-  struct Event {
-    Tick at;
-    std::uint64_t seq;
-    mutable Fn fn;
-
-    bool operator>(const Event& other) const {
-      return at != other.at ? at > other.at : seq > other.seq;
-    }
-  };
-
-  std::uint64_t next_seq_ = 0;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> heap_;
-};
-
-/// Delay mixture keyed to the latency clusters the engine schedules
-/// (Table II cycle times, Table III DRAM/flash timings). Percentages are
-/// rough shares of event traffic in a bench-scale run.
-Tick next_delay(Xoshiro256& rng) {
-  const std::uint64_t r = rng.bounded(1000);
-  if (r < 550) return 4 + 4 * rng.bounded(4);        // updater/guider cycles
-  if (r < 750) return 55;                            // DRAM access
-  if (r < 880) return 200 + rng.bounded(1200);       // ONFI channel transfer
-  if (r < 960) return 2 * kUs;                       // roving poll interval
-  if (r < 992) return 35 * kUs;                      // flash page read
-  if (r < 999) return 350 * kUs;                     // flash page program
-  return 2 * kMs;                                    // block erase
-}
-
-/// Steady-state kernel loop: pop an event, run its (engine-sized, ~40 B
-/// capture) closure, schedule a successor. Returns events/sec and feeds a
-/// checksum through the handlers so nothing folds away.
-template <typename Queue>
-double measure_events_per_sec(std::uint64_t total_events, std::uint64_t seed,
-                              std::uint64_t* checksum_out) {
-  Queue q;
-  Xoshiro256 rng(seed);
-  std::uint64_t checksum = 0;
-  constexpr std::uint64_t kInFlight = 4096;
-
-  // Engine-shaped payload: a this-pointer-sized handle plus a few scalars
-  // (comfortably past std::function's 16-byte inline buffer, inside
-  // EventFn's 64 bytes).
-  auto make_handler = [&checksum](std::uint64_t a, std::uint64_t b, std::uint64_t c,
-                                  std::uint64_t d) {
-    return [&checksum, a, b, c, d] { checksum += a ^ (b + c) ^ d; };
-  };
-
-  Tick now = 0;
-  for (std::uint64_t i = 0; i < kInFlight; ++i) {
-    q.push(next_delay(rng), make_handler(i, i + 1, i + 2, i + 3));
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t done = 0; done < total_events; ++done) {
-    auto [at, fn] = q.pop();
-    now = at;
-    fn();
-    q.push(now + next_delay(rng), make_handler(done, now, done + now, done ^ now));
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  const double secs = std::chrono::duration<double>(t1 - t0).count();
-
-  while (!q.empty()) q.pop();
-  *checksum_out = checksum;
-  return static_cast<double>(total_events) / secs;
-}
 
 // --- parallel section -------------------------------------------------------
 //
@@ -139,7 +42,7 @@ double measure_events_per_sec(std::uint64_t total_events, std::uint64_t seed,
 // (cycles/DRAM, all inside one lookahead window) and a ~6% tail of
 // cross-shard sends routed at >= lookahead — the traffic shape
 // src/accel/engine.cpp produces per the shard audit. The same workload runs
-// on a single serial bucketed EventQueue (the baseline) and on
+// on a single serial EventQueue (the baseline) and on
 // sim::ParallelSimulator at several worker counts; per-shard checksums and
 // event counts must agree across worker counts (the determinism gate).
 
@@ -183,7 +86,7 @@ struct ParallelDriver {
   }
 };
 
-/// Identical workload on one serial bucketed queue: the speedup
+/// Identical workload on one serial queue: the speedup
 /// denominator. (Event totals match the parallel runs exactly; checksums
 /// are not compared against them — single-queue interleaving legitimately
 /// orders equal-tick cross traffic differently.)
@@ -344,14 +247,12 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_sim.json";
   std::string dataset = "TT";
   std::string scale = "small";
-  std::uint64_t events = 2'000'000;
   std::uint64_t walks = 20'000;
   std::uint64_t seed = bench_seed();
   bool parallel = false;
   std::uint64_t par_events = 2'000'000;
   OptionSet opts;
   opts.opt("--out", &out_path, "FILE", "report path (default BENCH_sim.json)");
-  opts.opt("--events", &events, "N", "microbench event count");
   opts.opt("--dataset", &dataset, "TT|FS|CW|R2B|R8B", "e2e dataset (default TT)");
   opts.opt("--scale", &scale, "test|small|bench", "e2e dataset scale");
   opts.opt("--walks", &walks, "N", "e2e walk count");
@@ -360,42 +261,16 @@ int main(int argc, char** argv) {
             "also measure the sharded parallel DES and\n"
             "the concurrent engine (1/2/4/8 workers)");
   opts.opt("--par-events", &par_events, "N", "parallel-section event target");
-  opts.flag("--quick", "CI preset: 400k events, test scale, 5k walks", [&] {
-    events = 400'000;
+  opts.flag("--quick", "CI preset: test scale, 5k walks", [&] {
     scale = "test";
     walks = 5'000;
     par_events = 300'000;
   });
   opts.parse_or_exit(argc, argv,
-                     "DES hot-path benchmark: event-queue + engine throughput");
+                     "DES hot-path benchmark: parallel DES + engine throughput");
 
-  print_banner("DES hot path — event queue + engine throughput",
+  print_banner("DES hot path — parallel DES + engine throughput",
                "kernel microbench (not a paper figure)");
-
-  // Warm-up pass primes the allocator and branch predictors for both
-  // queues; the measured passes follow.
-  std::uint64_t checksum_bucketed = 0;
-  std::uint64_t checksum_legacy = 0;
-  measure_events_per_sec<sim::EventQueue>(events / 10, seed, &checksum_bucketed);
-  measure_events_per_sec<LegacyEventQueue>(events / 10, seed, &checksum_legacy);
-
-  const double bucketed =
-      measure_events_per_sec<sim::EventQueue>(events, seed, &checksum_bucketed);
-  const double legacy =
-      measure_events_per_sec<LegacyEventQueue>(events, seed, &checksum_legacy);
-  if (checksum_bucketed != checksum_legacy) {
-    std::cerr << "FATAL: queue implementations executed different event sets\n";
-    return 1;
-  }
-  const double speedup = bucketed / legacy;
-
-  std::cout << "\nEvent-queue microbench (" << events << " events, seed " << seed
-            << "):\n"
-            << "  bucketed queue : " << static_cast<std::uint64_t>(bucketed)
-            << " events/s\n"
-            << "  legacy heap    : " << static_cast<std::uint64_t>(legacy)
-            << " events/s\n"
-            << "  speedup        : " << speedup << "x\n";
 
   // Parallel DES section: serial sharded baseline + 1/2/4/8-worker runs of
   // the identical workload, with a cross-worker-count determinism check.
@@ -408,7 +283,7 @@ int main(int argc, char** argv) {
   if (parallel) {
     const auto hops = static_cast<std::uint32_t>(std::max<std::uint64_t>(
         1, par_events / (par_shards * kParChains) - 1));
-    // Warm-up (primes allocator + branch predictors, like section 1).
+    // Warm-up (primes the allocator and branch predictors).
     run_serial_sharded(par_shards, par_lookahead, hops / 4, seed);
     par_serial = run_serial_sharded(par_shards, par_lookahead, hops, seed);
     for (const std::uint32_t w : {1u, 2u, 4u, 8u}) {
@@ -501,12 +376,7 @@ int main(int argc, char** argv) {
   std::ofstream out(out_path);
   out << "{\n"
       << "  \"schema\": \"fw-bench-sim/2\",\n"
-      << "  \"seed\": " << seed << ",\n"
-      << "  \"events\": " << events << ",\n"
-      << "  \"bucketed_events_per_sec\": " << static_cast<std::uint64_t>(bucketed)
-      << ",\n"
-      << "  \"legacy_events_per_sec\": " << static_cast<std::uint64_t>(legacy) << ",\n"
-      << "  \"queue_speedup\": " << speedup << ",\n";
+      << "  \"seed\": " << seed << ",\n";
   if (parallel) {
     const double speedup_8w =
         par_runs.back().second.events_per_sec / par_serial.events_per_sec;

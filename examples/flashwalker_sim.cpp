@@ -52,6 +52,7 @@ struct CliOptions {
   bool biased = false;
   std::optional<std::pair<double, double>> node2vec;
   bool run_fw = true, run_gw = true, run_dm = false, run_tr = false, run_gs = false;
+  bool engines_given = false;
   accel::Features features;
   std::uint64_t memory = 6 * MiB;
   graph::Scale scale = graph::Scale::kBench;
@@ -95,6 +96,32 @@ void print_shard_audit(const accel::ShardAuditReport& a,
             << " sends inside the lookahead window\n";
 }
 
+/// Writes one report file through `body`; a no-op when `path` is empty.
+/// Returns false, after printing "cannot write PATH", when the file cannot
+/// be written, so a report is announced only once it is on disk.
+template <typename Body>
+bool write_report(const std::string& path, const std::string& what, Body body) {
+  if (path.empty()) return true;
+  std::ofstream out(path);
+  if (out) body(out);
+  out.close();
+  if (!out) {
+    std::cerr << "cannot write " << path << "\n";
+    return false;
+  }
+  std::cout << "wrote " << what << " to " << path << "\n";
+  return true;
+}
+
+bool write_trace(const std::string& path, const obs::TraceRecorder& trace) {
+  const std::string what =
+      std::string("Chrome trace (") + std::to_string(trace.num_events()) + " events)";
+  return write_report(path, what, [&trace](std::ostream& out) {
+    trace.write_json(out);
+    out << "\n";
+  });
+}
+
 CliOptions parse(int argc, char** argv) {
   CliOptions o;
   OptionSet opts;
@@ -110,7 +137,7 @@ CliOptions parse(int argc, char** argv) {
            });
   opts.opt("--graph", &o.graph_path, "PATH", "load an edge-list file instead");
   opts.opt("--walks", &o.walks, "N", "number of walks (default: dataset default)");
-  opts.opt("--length", &o.length, "N", "walk length in hops (default 6, at most 32767)");
+  opts.opt("--length", &o.length, "N", "walk length in hops, 1 to 32767 (default 6)");
   opts.flag("--biased", &o.biased, "edge-weight-biased walks (ITS)");
   opts.opt("--node2vec", "P,Q", "second-order walks with p/q",
            [&o](const std::string& v) {
@@ -123,6 +150,7 @@ CliOptions parse(int argc, char** argv) {
            });
   opts.opt("--engines", "fw,gw,dm,tr,gs", "which engines to run (default fw,gw)",
            [&o](const std::string& list) {
+             o.engines_given = true;
              o.run_fw = o.run_gw = o.run_dm = o.run_tr = o.run_gs = false;
              for (std::size_t begin = 0, end = 0; end != std::string::npos;
                   begin = end + 1) {
@@ -203,7 +231,21 @@ CliOptions parse(int argc, char** argv) {
                  "single shared sink)\n";
     std::exit(2);
   }
-  if (!o.trace_path.empty() && !o.run_fw && o.jobs_spec.empty()) {
+  if (!o.jobs_spec.empty()) {
+    // The job mix sets each job's model and runs on FlashWalker alone;
+    // --walks and --length stay accepted as the jobs' defaults.
+    if (o.node2vec) {
+      std::cerr << "--node2vec does not apply to --jobs; give a node2vec job "
+                   "instead (node2vec:p=P,q=Q)\n";
+      std::exit(2);
+    }
+    if (o.engines_given && (!o.run_fw || o.run_gw || o.run_dm || o.run_tr || o.run_gs)) {
+      std::cerr << "--jobs runs on the FlashWalker engine only; drop --engines or "
+                   "pass --engines fw\n";
+      std::exit(2);
+    }
+  }
+  if (!o.trace_path.empty() && !o.run_fw) {
     std::cerr << "--trace-out traces the FlashWalker engine; include fw in "
                  "--engines\n";
     std::exit(2);
@@ -222,9 +264,10 @@ CliOptions parse(int argc, char** argv) {
                  "--engines\n";
     std::exit(2);
   }
-  if (o.length > rw::kMaxWalkLength) {
-    std::cerr << "--length: " << o.length << " exceeds the limit of "
-              << rw::kMaxWalkLength << " hops\n";
+  try {
+    (void)rw::hop_count(o.length);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "--length: " << e.what() << "\n";
     std::exit(2);
   }
   if (o.labels > 255) {
@@ -272,36 +315,20 @@ int run_service(const CliOptions& cli, const partition::PartitionedGraph& pg,
             << "\n";
   print_shard_audit(res.engine.shard_audit);
 
-  if (!cli.trace_path.empty()) {
-    std::ofstream out(cli.trace_path);
-    if (!out) {
-      std::cerr << "cannot write " << cli.trace_path << "\n";
-    } else {
-      trace.write_json(out);
-      out << "\n";
-      std::cout << "wrote Chrome trace (" << trace.num_events() << " events) to "
-                << cli.trace_path << "\n";
-    }
-  }
-  if (!cli.json_path.empty()) {
-    std::ofstream json(cli.json_path);
-    accel::write_json(json, "flashwalker-service", res.engine);
-    json << "\n";
-    std::cout << "wrote JSON report to " << cli.json_path << "\n";
-  }
-  if (!cli.metrics_path.empty()) {
-    std::ofstream out(cli.metrics_path);
-    if (!out) {
-      std::cerr << "cannot write " << cli.metrics_path << "\n";
-      return 1;
-    }
+  const auto json = [&res](std::ostream& out) {
+    accel::write_json(out, "flashwalker-service", res.engine);
+    out << "\n";
+  };
+  const auto metrics = [&res](std::ostream& out) {
     out << "{\"schema_version\":" << accel::kReportSchemaVersion
         << ",\"engines\":{\"flashwalker\":";
     accel::write_counters_json(out, res.engine);
     out << "}}\n";
-    std::cout << "wrote metrics JSON to " << cli.metrics_path << "\n";
-  }
-  return 0;
+  };
+  const bool written = write_trace(cli.trace_path, trace) &&
+                       write_report(cli.json_path, "JSON report", json) &&
+                       write_report(cli.metrics_path, "metrics JSON", metrics);
+  return written ? 0 : 1;
 }
 
 /// Multi-SSD array run (--devices > 1, FlashWalker only): shard the graph
@@ -354,18 +381,11 @@ int run_array(const CliOptions& cli, const partition::PartitionedGraph& pg,
     jt.print(std::cout);
   }
 
-  if (!cli.json_path.empty()) {
-    std::ofstream json(cli.json_path);
-    accel::write_json(json, "flashwalker-array", res);
-    json << "\n";
-    std::cout << "wrote JSON report to " << cli.json_path << "\n";
-  }
-  if (!cli.metrics_path.empty()) {
-    std::ofstream out(cli.metrics_path);
-    if (!out) {
-      std::cerr << "cannot write " << cli.metrics_path << "\n";
-      return 1;
-    }
+  const auto json = [&res](std::ostream& out) {
+    accel::write_json(out, "flashwalker-array", res);
+    out << "\n";
+  };
+  const auto metrics = [&res](std::ostream& out) {
     out << "{\"schema_version\":" << accel::kReportSchemaVersion << ",\"engines\":{";
     for (std::size_t d = 0; d < res.boards.size(); ++d) {
       if (d > 0) out << ',';
@@ -373,9 +393,10 @@ int run_array(const CliOptions& cli, const partition::PartitionedGraph& pg,
       accel::write_counters_json(out, res.boards[d]);
     }
     out << "}}\n";
-    std::cout << "wrote metrics JSON to " << cli.metrics_path << "\n";
-  }
-  return 0;
+  };
+  const bool written = write_report(cli.json_path, "JSON report", json) &&
+                       write_report(cli.metrics_path, "metrics JSON", metrics);
+  return written ? 0 : 1;
 }
 
 }  // namespace
@@ -519,28 +540,17 @@ int main(int argc, char** argv) {
     const auto r = accel::SimulationBuilder(pg).config(cfg).run();
     fw_time = r.exec_time;
     print_shard_audit(r.shard_audit);
-    if (!cli.trace_path.empty()) {
-      std::ofstream out(cli.trace_path);
-      if (!out) {
-        std::cerr << "cannot write " << cli.trace_path << "\n";
-      } else {
-        trace.write_json(out);
-        out << "\n";
-        std::cout << "wrote Chrome trace (" << trace.num_events() << " events) to "
-                  << cli.trace_path << "\n";
-      }
-    }
+    if (!write_trace(cli.trace_path, trace)) return 1;
     if (!cli.metrics_path.empty()) {
       std::ostringstream ss;
       accel::write_counters_json(ss, r);
       metric_parts.emplace_back("flashwalker", ss.str());
     }
-    if (!cli.json_path.empty()) {
-      std::ofstream json(cli.json_path);
-      accel::write_json(json, "flashwalker", r);
-      json << "\n";
-      std::cout << "wrote JSON report to " << cli.json_path << "\n";
-    }
+    const auto json = [&r](std::ostream& out) {
+      accel::write_json(out, "flashwalker", r);
+      out << "\n";
+    };
+    if (!write_report(cli.json_path, "JSON report", json)) return 1;
     const auto e = accel::estimate_flashwalker(r, cfg.accel, ssd_cfg);
     table.add_row({"FlashWalker", TextTable::time_ns(r.exec_time),
                    std::to_string(r.metrics.total_hops),
@@ -605,20 +615,15 @@ int main(int argc, char** argv) {
     baseline::ThunderEngine engine(g, opts);
     add_baseline("ThunderRW (in-memory)", "thunderrw", engine.run());
   }
-  if (!cli.metrics_path.empty()) {
-    std::ofstream out(cli.metrics_path);
-    if (!out) {
-      std::cerr << "cannot write " << cli.metrics_path << "\n";
-      return 1;
-    }
+  const auto metrics = [&metric_parts](std::ostream& out) {
     out << "{\"schema_version\":" << accel::kReportSchemaVersion << ",\"engines\":{";
     for (std::size_t i = 0; i < metric_parts.size(); ++i) {
       if (i > 0) out << ',';
       out << '"' << metric_parts[i].first << "\":" << metric_parts[i].second;
     }
     out << "}}\n";
-    std::cout << "wrote metrics JSON to " << cli.metrics_path << "\n";
-  }
+  };
+  if (!write_report(cli.metrics_path, "metrics JSON", metrics)) return 1;
   table.print(std::cout);
   return 0;
 }

@@ -8,9 +8,9 @@
 // overhead, Table III: 200 ns) and touch on-board DRAM (first-access
 // tRCD + tCL at the DDR4 command clock: 55 ns) before any other channel
 // can observe them. Board-level accelerator work adds at least one guider
-// cycle (Table II: 4 ns) on top. ≈ 259 ns with paper defaults — roughly a
-// 65-bucket span of the 4 ns calendar ring, comfortably above the
-// cycle-scale traffic that dominates each shard's local work.
+// cycle (Table II: 4 ns) on top. ≈ 259 ns with paper defaults — about 65
+// of the 4 ns accelerator cycles, comfortably above the cycle-scale
+// traffic that dominates each shard's local work.
 //
 // See docs/MODELING.md "Parallel DES" for the full argument. The engine
 // floors every cross-shard handoff to this window (the honest ONFI-command

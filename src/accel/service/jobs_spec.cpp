@@ -72,6 +72,7 @@ bool apply_common_key(const std::string& raw, WalkJob& job, bool& seed_set,
   } else if (key == "length") {
     job.spec.length =
         static_cast<std::uint32_t>(parse_uint(raw, key, val, rw::kMaxWalkLength));
+    if (job.spec.length == 0) fail(raw, "length must be >= 1");
   } else if (key == "seed") {
     job.spec.seed = parse_uint(raw, key, val);
     seed_set = true;

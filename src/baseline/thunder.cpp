@@ -7,6 +7,9 @@ namespace fw::baseline {
 ThunderEngine::ThunderEngine(const graph::CsrGraph& graph, ThunderOptions options)
     : graph_(&graph), opt_(std::move(options)), rng_(opt_.spec.seed) {
   require_first_order(opt_.spec, "ThunderRW");
+  // The hop loop counts in 32 bits, but lengths follow the other engines'
+  // walk-record limit, 1 to rw::kMaxWalkLength.
+  (void)rw::hop_count(opt_.spec.length);
   if (graph.csr_size_bytes() > opt_.host.memory_bytes) {
     throw std::invalid_argument(
         "ThunderEngine: graph exceeds host memory (in-memory engine; use "

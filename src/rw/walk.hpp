@@ -68,12 +68,14 @@ struct Walk {
 static_assert(sizeof(Walk) == 40, "rw::Walk is a 40-byte record");
 
 /// A walk length as the hop counter's start value. Throws
-/// std::invalid_argument naming `length` and kMaxWalkLength when the
-/// counter cannot hold it.
+/// std::invalid_argument naming `length` and the range 1 to kMaxWalkLength
+/// when the counter cannot hold it. Length 0 is rejected too: the first
+/// hop's decrement would wrap the counter to kMaxWalkLength.
 inline std::uint16_t hop_count(std::uint32_t length) {
-  if (length <= kMaxWalkLength) return static_cast<std::uint16_t>(length);
+  if (length >= 1 && length <= kMaxWalkLength) return static_cast<std::uint16_t>(length);
   throw std::invalid_argument(std::string("walk length ") + std::to_string(length) +
-                              " exceeds the limit of " + std::to_string(kMaxWalkLength));
+                              " is outside the range 1 to the limit of " +
+                              std::to_string(kMaxWalkLength));
 }
 
 /// On-flash / in-buffer footprint of one walk: src + cur + hop counter.

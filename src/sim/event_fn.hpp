@@ -79,10 +79,10 @@ class EventFn {
     /// and destroy the source; with dst == nullptr, destroy only.
     void (*relocate)(void* src, void* dst) noexcept;
     /// Inline, trivially copyable, trivially destructible: moving is a
-    /// memcpy of the buffer and destruction is a no-op. This keeps Event
-    /// moves inside the queue's bucket vectors (push_back shifts, the lazy
-    /// sort, mid-drain sorted inserts) free of indirect calls for the
-    /// scalar/pointer-capturing lambdas that dominate engine traffic.
+    /// memcpy of the buffer and destruction is a no-op. This keeps the
+    /// moves into and out of the queue's slots (and the shards' outboxes)
+    /// free of indirect calls for the scalar/pointer-capturing lambdas that
+    /// dominate engine traffic.
     bool trivial;
   };
 

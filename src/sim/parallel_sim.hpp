@@ -1,6 +1,6 @@
 // Conservative-lookahead parallel DES over per-channel event-queue shards.
 //
-// Each shard owns a private bucketed calendar EventQueue (sim/event_queue)
+// Each shard owns a private EventQueue (sim/event_queue), a binary heap,
 // plus a clock and a set of single-writer outboxes. Execution proceeds in
 // windows [start, start + lookahead): every shard drains its own queue
 // strictly inside the window with no locks — safe because the model

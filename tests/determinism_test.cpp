@@ -1,9 +1,9 @@
 // Golden determinism tests: the simulator's core contract is that a fixed
 // seed reproduces a run *bit-identically* — same walk paths, same simulated
 // exec time, same counter registry down to the last byte of the JSON dump.
-// This is what makes the bucketed event queue a legal replacement for the
-// binary heap (equal-tick events must fire in insertion order) and what
-// bench/regression.py's sim_exec_ns gate relies on.
+// Any event queue is a legal one only if it keeps this (equal-tick events
+// must fire in insertion order), and bench/regression.py's sim_exec_ns gate
+// relies on it.
 #include <gtest/gtest.h>
 
 #include <sstream>

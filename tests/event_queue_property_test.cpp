@@ -1,12 +1,11 @@
-// Property-based tests for the bucketed (calendar) event queue and its
-// small-buffer callable, checked against a naive std::multimap model.
+// Property-based tests for the event queue and its small-buffer callable,
+// checked against a naive std::multimap model.
 //
 // The model is the specification: pops deliver the globally earliest
-// (tick, insertion-order) event, exactly like the binary heap the calendar
-// queue replaced. Random interleavings drive both structures through the
-// interesting geometry: equal-tick bursts, bucket-boundary ticks, events
-// past the window (overflow heap + promotion), and pushes earlier than the
-// last pop (window rewind).
+// (tick, insertion-order) event. Random interleavings drive the queue
+// through delay patterns the engine produces and a few it does not:
+// equal-tick bursts, delay 0, far-future events, sparse far-apart events,
+// and pushes earlier than the last pop.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -49,16 +48,13 @@ class ModelQueue {
 /// interleaving (pushes at now + delay_gen(rng), simulator-style), then
 /// drain both, asserting tick-and-identity agreement at every step.
 template <typename DelayGen>
-void run_against_model(std::uint32_t width_log2, std::uint32_t buckets_log2,
-                       std::uint64_t seed, int ops, DelayGen delay_gen,
-                       bool expect_overflow = false) {
-  EventQueue q(width_log2, buckets_log2);
+void run_against_model(std::uint64_t seed, int ops, DelayGen delay_gen) {
+  EventQueue q;
   ModelQueue model;
   std::vector<std::uint64_t> fired;
   Xoshiro256 rng(seed);
   Tick now = 0;
   std::uint64_t next_id = 0;
-  bool saw_overflow = false;
 
   auto check_pop = [&] {
     ASSERT_FALSE(q.empty());
@@ -72,7 +68,6 @@ void run_against_model(std::uint32_t width_log2, std::uint32_t buckets_log2,
   };
 
   for (int op = 0; op < ops; ++op) {
-    saw_overflow |= q.overflow_size() > 0;
     if (model.empty() || rng.bounded(100) < 55) {
       const Tick at = now + delay_gen(rng);
       const std::uint64_t id = next_id++;
@@ -87,70 +82,57 @@ void run_against_model(std::uint32_t width_log2, std::uint32_t buckets_log2,
   ASSERT_TRUE(q.empty());
   ASSERT_EQ(q.size(), 0u);
   ASSERT_EQ(fired.size(), next_id);
-  if (expect_overflow) {
-    EXPECT_TRUE(saw_overflow);
-  }
 }
 
 TEST(EventQueueProperty, RandomInterleavingsMatchModel) {
-  // Default-ish geometry, engine-like delay mixture (dense near field plus
-  // occasional far events), several seeds.
+  // Engine-like delay mixture (dense near field plus occasional far
+  // events), several seeds.
   auto mixture = [](Xoshiro256& rng) -> Tick {
     const std::uint64_t r = rng.bounded(100);
     if (r < 50) return rng.bounded(16);        // cycle-scale, incl. delay 0
     if (r < 75) return 55;                     // equal ticks collide often
     if (r < 90) return 200 + rng.bounded(1200);
     if (r < 97) return 2000;
-    return 35'000 + rng.bounded(400'000);      // beyond the default window
+    return 35'000 + rng.bounded(400'000);      // flash-array scale
   };
   for (std::uint64_t seed : {1ull, 7ull, 1234ull}) {
-    run_against_model(EventQueue::kDefaultWidthLog2, EventQueue::kDefaultBucketsLog2,
-                      seed, 6000, mixture, /*expect_overflow=*/true);
+    run_against_model(seed, 6000, mixture);
   }
 }
 
 TEST(EventQueueProperty, EqualTickBurstsFireInInsertionOrder) {
-  // Heavy tick collisions: only 8 distinct delays, so most buckets hold
+  // Heavy tick collisions: only 8 distinct delays, so most ticks hold
   // multi-event FIFO runs.
   auto bursty = [](Xoshiro256& rng) -> Tick { return 8 * rng.bounded(8); };
   for (std::uint64_t seed : {3ull, 99ull}) {
-    run_against_model(EventQueue::kDefaultWidthLog2, EventQueue::kDefaultBucketsLog2,
-                      seed, 4000, bursty);
+    run_against_model(seed, 4000, bursty);
   }
 }
 
-TEST(EventQueueProperty, BucketBoundaryTicks) {
-  // Delays sitting exactly on bucket edges (multiples of the 4 ns width),
-  // one off either side, and exactly the window span — tiny 4 ns x 16
-  // bucket geometry so every case is hit constantly.
-  constexpr std::uint32_t kW = 2, kB = 4;
-  constexpr Tick kWidth = Tick{1} << kW;
-  constexpr Tick kWindow = Tick{1} << (kW + kB);
-  auto boundary = [](Xoshiro256& rng) -> Tick {
-    static constexpr Tick kEdges[] = {0,          1,           kWidth - 1, kWidth,
-                                      kWidth + 1, kWindow - 1, kWindow,    kWindow + 1,
-                                      3 * kWindow};
-    return kEdges[rng.bounded(std::size(kEdges))];
+TEST(EventQueueProperty, DelayZeroAndFixedShortDelays) {
+  // Nine fixed delays, delay 0 among them, so pushes at the tick being
+  // drained and equal-tick runs are hit constantly.
+  auto fixed = [](Xoshiro256& rng) -> Tick {
+    static constexpr Tick kDelays[] = {0, 1, 3, 4, 5, 63, 64, 65, 192};
+    return kDelays[rng.bounded(std::size(kDelays))];
   };
   for (std::uint64_t seed : {5ull, 42ull, 777ull}) {
-    run_against_model(kW, kB, seed, 5000, boundary, /*expect_overflow=*/true);
+    run_against_model(seed, 5000, fixed);
   }
 }
 
-TEST(EventQueueProperty, TinyWindowOverflowPromotion) {
-  // 4 ns x 8 buckets = 32 ns window: nearly every push overflows and must
-  // be promoted back as the window slides.
-  auto far = [](Xoshiro256& rng) -> Tick { return rng.bounded(500); };
+TEST(EventQueueProperty, UniformShortDelays) {
+  auto uniform = [](Xoshiro256& rng) -> Tick { return rng.bounded(500); };
   for (std::uint64_t seed : {11ull, 1337ull}) {
-    run_against_model(2, 3, seed, 4000, far, /*expect_overflow=*/true);
+    run_against_model(seed, 4000, uniform);
   }
 }
 
-TEST(EventQueueProperty, NonMonotonePushesRewindWindow) {
-  // Direct queue users may push earlier than the last popped tick; the
-  // window must rewind without losing or reordering anything. Absolute
-  // times, not now-relative, so pushes land arbitrarily far in the past.
-  EventQueue q(2, 4);  // 4 ns x 16 = 64 ns window
+TEST(EventQueueProperty, PushesAtRandomAbsoluteTicks) {
+  // Direct queue users may push earlier than the last popped tick (a Shard
+  // clamps to its clock, the queue does not). Absolute times, not
+  // now-relative, so pushes land arbitrarily far in the past.
+  EventQueue q;
   ModelQueue model;
   std::vector<std::uint64_t> fired;
   Xoshiro256 rng(21);
@@ -180,45 +162,39 @@ TEST(EventQueueProperty, NonMonotonePushesRewindWindow) {
   ASSERT_TRUE(q.empty());
 }
 
-TEST(EventQueueProperty, SparseFarApartEventsCrossEmptyBuckets) {
-  // Few events in flight, hundreds of buckets apart inside the default
-  // window: the drain cursor crosses long runs of empty buckets, and the
-  // delays land on and next to 64-bucket word edges of the occupancy mask.
+TEST(EventQueueProperty, SparseFarApartEvents) {
+  // Few events in flight, hundreds of ns to tens of us apart.
   auto sparse = [](Xoshiro256& rng) -> Tick {
     const std::uint64_t r = rng.bounded(100);
     if (r < 40) return 4 * (64 * (1 + rng.bounded(15)) + rng.bounded(3)) - 4;
     if (r < 70) return 2000;  // the channel roving-poll re-arm
     if (r < 90) return 600 + rng.bounded(3400);
-    return 4096 * (1 + rng.bounded(4)) + rng.bounded(8);  // just past the window
+    return 4096 * (1 + rng.bounded(4)) + rng.bounded(8);
   };
   for (std::uint64_t seed : {2ull, 31ull, 4242ull}) {
-    run_against_model(EventQueue::kDefaultWidthLog2, EventQueue::kDefaultBucketsLog2,
-                      seed, 6000, sparse, /*expect_overflow=*/true);
+    run_against_model(seed, 6000, sparse);
   }
 }
 
-TEST(EventQueueProperty, RingWrapAroundFindsBucketBehindCursor) {
-  // Delays just under the window span put the next event in the ring slot
-  // right behind the drain cursor, so every search wraps past the end of
-  // the ring; the occasional short delay keeps a near event ahead of it.
-  auto wrap = [](Xoshiro256& rng) -> Tick {
+TEST(EventQueueProperty, NearEqualLongDelaysAndALoneRearmedEvent) {
+  // Mostly long delays within 16 ns of each other; the occasional short
+  // delay keeps a near event ahead of them.
+  auto near_equal = [](Xoshiro256& rng) -> Tick {
     const std::uint64_t r = rng.bounded(100);
     if (r < 70) return 4095 - rng.bounded(16);
     if (r < 85) return rng.bounded(8);
     return 3000 + rng.bounded(1000);
   };
   for (std::uint64_t seed : {8ull, 77ull}) {
-    run_against_model(EventQueue::kDefaultWidthLog2, EventQueue::kDefaultBucketsLog2,
-                      seed, 6000, wrap);
+    run_against_model(seed, 6000, near_equal);
   }
-  // Tiny 16-bucket ring: a single re-armed event laps the ring many times.
-  auto lap = [](Xoshiro256& rng) -> Tick { return 60 + rng.bounded(4); };
-  run_against_model(2, 4, 5, 3000, lap);
+  // A single event re-armed after each pop: the queue holds one or two.
+  auto rearm = [](Xoshiro256& rng) -> Tick { return 60 + rng.bounded(4); };
+  run_against_model(5, 3000, rearm);
 }
 
-TEST(EventQueueProperty, RewindEvictsAndRefillsDefaultWindow) {
-  // Pushes far behind the last pop re-anchor the default window, evicting
-  // in-window events back to the overflow heap and emptying their buckets;
+TEST(EventQueueProperty, PushesFarBehindTheLastPop) {
+  // Every round pushes one event up to 12 us behind the last delivery;
   // later pops must still find every event in order.
   EventQueue q;
   ModelQueue model;
@@ -243,7 +219,6 @@ TEST(EventQueueProperty, RewindEvictsAndRefillsDefaultWindow) {
   for (int round = 0; round < 200; ++round) {
     for (int i = 0; i < 8; ++i) push(now + rng.bounded(4096));
     for (int i = 0; i < 3; ++i) pop();
-    // Rewind: up to ~3 windows behind the last delivery.
     push(now > 12000 ? now - 1 - rng.bounded(12000) : rng.bounded(now + 1));
     pop();
   }
@@ -344,9 +319,9 @@ TEST(EventFn, DestructionReleasesCapturedState) {
 }
 
 TEST(EventQueueProperty, QueueCarriesHeapAndMoveOnlyPayloads) {
-  // The queue's internal Event moves must preserve every payload species:
+  // The queue's slot moves must preserve every payload species:
   // trivially-copyable inline, non-trivial inline (move-only), and heap.
-  EventQueue q(2, 3);  // tiny window forces overflow traffic too
+  EventQueue q;
   std::vector<int> fired;
   std::array<std::uint64_t, 12> big{};
   big[0] = 2;
@@ -355,6 +330,14 @@ TEST(EventQueueProperty, QueueCarriesHeapAndMoveOnlyPayloads) {
   q.push(500, [&fired, owned = std::make_unique<int>(3)] { fired.push_back(*owned); });
   while (!q.empty()) q.pop().second();
   EXPECT_EQ(fired, (std::vector<int>{2, 1, 3}));
+  // A second round reuses the freed slots, and a popped event's captures
+  // leave the queue with it.
+  auto tracked = std::make_shared<int>(5);
+  q.push(7, [&fired, tracked] { fired.push_back(*tracked); });
+  q.push(5, [&fired, owned = std::make_unique<int>(4)] { fired.push_back(*owned); });
+  while (!q.empty()) q.pop().second();
+  EXPECT_EQ(tracked.use_count(), 1);
+  EXPECT_EQ(fired, (std::vector<int>{2, 1, 3, 4, 5}));
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "baseline/graphssd.hpp"
 #include "baseline/graphwalker.hpp"
 #include "baseline/knightking.hpp"
+#include "baseline/thunder.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "rw/algorithms.hpp"
@@ -152,8 +153,8 @@ TEST(CrossEngine, BiasedDistributionsAgree) {
 
 /// `run(spec)` builds one engine for `spec`, runs it and returns the hops
 /// it took. Over a ring every walk takes all its hops, so a run of
-/// kMaxWalkLength shows the hop counter holds it; one hop more must be
-/// rejected with the value and the limit, not wrap.
+/// kMaxWalkLength shows the hop counter holds it; one hop more, and length
+/// 0, must be rejected with the value and the limit, not wrap.
 template <typename Run>
 void expect_walk_length_limit(const std::string& engine, Run run) {
   rw::WalkSpec spec;
@@ -161,14 +162,17 @@ void expect_walk_length_limit(const std::string& engine, Run run) {
   spec.seed = 5;
   spec.length = rw::kMaxWalkLength;
   EXPECT_EQ(run(spec), spec.num_walks * rw::kMaxWalkLength) << engine;
-  spec.length = rw::kMaxWalkLength + 1;
-  try {
-    (void)run(spec);
-    ADD_FAILURE() << engine << " accepted length " << spec.length;
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("32768"), std::string::npos) << engine << ": " << what;
-    EXPECT_NE(what.find("limit of 32767"), std::string::npos) << engine << ": " << what;
+  for (const std::uint32_t length : {rw::kMaxWalkLength + 1, 0u}) {
+    spec.length = length;
+    try {
+      (void)run(spec);
+      ADD_FAILURE() << engine << " accepted length " << length;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      const std::string value = std::string("walk length ") + std::to_string(length);
+      EXPECT_NE(what.find(value), std::string::npos) << engine << ": " << what;
+      EXPECT_NE(what.find("limit of 32767"), std::string::npos) << engine << ": " << what;
+    }
   }
 }
 
@@ -212,6 +216,12 @@ TEST(CrossEngine, MaxWalkLengthRunsAndOneMoreIsRejected) {
     baseline::KnightKingOptions o;
     o.spec = spec;
     return baseline::KnightKingEngine(g, o).run().base.total_hops;
+  });
+  expect_walk_length_limit("ThunderRW", [&](const rw::WalkSpec& spec) {
+    baseline::ThunderOptions o;
+    o.ssd = ssd::test_ssd_config();
+    o.spec = spec;
+    return baseline::ThunderEngine(g, o).run().total_hops;
   });
 }
 

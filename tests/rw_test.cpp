@@ -109,12 +109,13 @@ TEST(Walk, PackedFieldsKeepTheirFullRange) {
 }
 
 TEST(Walk, HopCountChecksTheLimit) {
-  EXPECT_EQ(hop_count(0), 0u);
+  EXPECT_EQ(hop_count(1), 1u);
   EXPECT_EQ(hop_count(6), 6u);
   EXPECT_EQ(hop_count(kMaxWalkLength), kMaxWalkLength);
-  // Past the limit the counter would wrap (65,536 reads as 0), so the
+  // Past the limit the counter would wrap (65,536 reads as 0), and from 0
+  // the first hop's decrement would wrap it to the limit, so the
   // conversion throws, naming the value and the limit.
-  for (const std::uint32_t length : {kMaxWalkLength + 1, 65'536u, 65'537u}) {
+  for (const std::uint32_t length : {0u, kMaxWalkLength + 1, 65'536u, 65'537u}) {
     try {
       (void)hop_count(length);
       ADD_FAILURE() << length << " was accepted";

@@ -365,6 +365,7 @@ TEST(JobsSpec, RejectsMalformedSpecs) {
   EXPECT_THROW(service::parse_jobs("deepwalk:p=0.5", {}), std::invalid_argument);
   EXPECT_THROW(service::parse_jobs("ppr:stop=x", {}), std::invalid_argument);
   EXPECT_THROW(service::parse_jobs("0*deepwalk", {}), std::invalid_argument);
+  EXPECT_THROW(service::parse_jobs("deepwalk:length=0", {}), std::invalid_argument);
   EXPECT_THROW(service::parse_jobs("deepwalk:qos=plutonium", {}), std::invalid_argument);
   EXPECT_THROW(service::parse_jobs("autoreg:alpha=1.5", {}), std::invalid_argument);
   EXPECT_THROW(service::parse_jobs("metapath:pattern=", {}), std::invalid_argument);
